@@ -35,7 +35,7 @@ use pcie_drivers::{
     DriverConfig, DriverPattern, DriverRunResult, DriverSim, OfferedLoad, PATTERNS,
 };
 use pcie_par::Pool;
-use pcie_telemetry::DRIVER_STAGES;
+use pcie_telemetry::{DriverStage, StageSet};
 use pciebench::report::format_multi_series;
 use pciebench::BenchSetup;
 
@@ -247,7 +247,7 @@ fn main() {
             platform,
         );
         let r = sim.run(64, pkts.min(4_000));
-        let means: Vec<f64> = DRIVER_STAGES
+        let means: Vec<f64> = DriverStage::ALL
             .iter()
             .map(|&st| sim.stages.mean_ns(st))
             .collect();

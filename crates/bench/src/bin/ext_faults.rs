@@ -24,7 +24,9 @@ use pcie_bench_harness::{baseline_params, header, n};
 use pcie_device::DmaPath;
 use pcie_par::Pool;
 use pciebench::report::format_multi_series;
-use pciebench::{run_bandwidth_with, run_latency, BenchScratch, BenchSetup, BwOp, LatOp, Stage};
+use pciebench::{
+    run_bandwidth_with, run_latency, BenchScratch, BenchSetup, BwOp, LatOp, Stage, StageSet,
+};
 
 /// Log-spaced BER grid; 0 first so the fault-free baseline anchors the
 /// sweep.

@@ -32,7 +32,7 @@ use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, SplitMix64, Timeline};
 use pcie_tlp::plan::PlanCache;
 use pcie_tlp::types::{DeviceId, Tag};
-use pcie_tlp::{split, Packet, TemplateInterner, TlpRepr, TlpType};
+use pcie_tlp::{split, Packet, TlpRepr, TlpType};
 use pciebench::{BenchParams, BenchScratch, BenchSetup, LatOp};
 
 /// Times `iters` trips of `f`, returning ns per trip (no baseline
@@ -96,19 +96,6 @@ fn bench_gate(b: &mut Budget) {
         now = black_box(now + step);
     });
     b.record("device_gate", iters, ns);
-
-    // Batched variant: one bookkeeping pass per 4-slot burst, cost
-    // reported per slot so the two rows are directly comparable.
-    let mut g = SlotGate::new(8);
-    let mut now = SimTime::ZERO;
-    let ns = differential(iters / 4, |_| {
-        let at = g.acquire_batch(now, 4).expect("burst fits an idle gate");
-        for _ in 0..4 {
-            g.release_at(at + hold);
-        }
-        now = black_box(now + step + step + step + step);
-    });
-    b.record("device_gate_batched", iters, ns / 4.0);
 }
 
 fn bench_link(b: &mut Budget) {
@@ -163,28 +150,6 @@ fn bench_tlp_assembly(b: &mut Budget) {
         black_box(buf[3]);
     });
     b.record("tlp_assembly", iters, ns);
-
-    // Correctness first, then cost: the interned path must produce
-    // the same bytes before its speed means anything.
-    let mut interner = TemplateInterner::new();
-    for i in 0..16 {
-        let r = repr_at(i);
-        let mut direct = [0u8; 16];
-        let mut interned = [0xa5u8; 16];
-        r.emit(&mut Packet::new_unchecked(&mut direct[..])).unwrap();
-        interner
-            .emit(&r, &mut Packet::new_unchecked(&mut interned[..]))
-            .unwrap();
-        assert_eq!(direct, interned, "interned emit must be byte-identical");
-    }
-    let ns = differential(iters, |i| {
-        let r = repr_at(i);
-        interner
-            .emit(&r, &mut Packet::new_unchecked(&mut buf[..]))
-            .unwrap();
-        black_box(buf[3]);
-    });
-    b.record("tlp_assembly_interned", iters, ns);
 }
 
 fn bench_split_plan(b: &mut Budget) {
@@ -277,7 +242,6 @@ fn main() {
         );
     }
     println!("#  - all components positive and finite");
-    println!("#  - interned TLP emit byte-identical to from-scratch emit (asserted in-loop setup)");
     println!("#  - memoised completion plans identical to the split iterator (asserted)");
 
     println!();

@@ -37,7 +37,7 @@
 use pcie_bench_harness::{header, n};
 use pcie_par::Pool;
 use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
-use pcie_telemetry::RPC_STAGES;
+use pcie_telemetry::{RpcStage, StageSet};
 
 /// Offered load points as fractions of aggregate accelerator capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
@@ -249,7 +249,7 @@ fn main() {
             .find(|(f, d, _)| *f == mid && *d == path)
             .unwrap()
             .2;
-        let means: Vec<String> = RPC_STAGES
+        let means: Vec<String> = RpcStage::ALL
             .iter()
             .map(|&s| format!("{}={:.0}ns", s.name(), r.stages.mean_ns(s)))
             .collect();
@@ -258,8 +258,8 @@ fn main() {
             mid * 100.0,
             path.name(),
             means.join(" "),
-            r.stages.grand_total_ns() / r.stages.rpcs().max(1) as f64,
-            r.stages.rpcs(),
+            r.stages.grand_total_ns() / r.stages.count().max(1) as f64,
+            r.stages.count(),
         );
     }
 

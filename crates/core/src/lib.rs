@@ -50,7 +50,7 @@ pub use pcie_par::{Pool, PoolStats};
 
 /// Re-exported from `pcie-telemetry`: the snapshot type carried by
 /// [`LatencyResult::telemetry`] / [`BwResult::telemetry`].
-pub use pcie_telemetry::{Snapshot, Stage, StageReport};
+pub use pcie_telemetry::{Snapshot, Stage, StageReport, StageSet};
 
 /// Re-exported from `pcie-fault`: the fault-injection plan carried by
 /// [`BenchSetup::fault`] (see [`BenchSetup::with_faults`] /

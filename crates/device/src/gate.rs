@@ -101,38 +101,6 @@ impl SlotGate {
         t
     }
 
-    /// Batched acquire: claims `n` slots for requests all arriving at
-    /// `now`, returning `Some(now)` when none of them would stall —
-    /// the closed-loop common case, where a burst's worth of per-slot
-    /// `acquire(now)` calls each return `now` and only move counters.
-    ///
-    /// Exact equivalent of `n` consecutive `acquire(now)` calls
-    /// interleaved with their (future) `release_at`s in that case:
-    /// after the expiry sweep, `held + n ≤ capacity` guarantees every
-    /// per-slot acquire would find a free slot (occupancy grows by one
-    /// release per acquire, staying below capacity throughout) and no
-    /// later sweep fires (the interleaved releases are all in the
-    /// future). Counters advance as the per-slot calls would: `n`
-    /// acquires, zero stalls, zero wait. When any slot would stall the
-    /// gate is left untouched and `None` is returned — callers fall
-    /// back to the per-slot path (as they must anyway when a fault
-    /// injector makes release times verdict-dependent).
-    ///
-    /// The caller **must** follow up with `n` [`SlotGate::release_at`]
-    /// calls, in the same nondecreasing order the per-slot loop would
-    /// produce.
-    pub fn acquire_batch(&mut self, now: SimTime, n: usize) -> Option<SimTime> {
-        if self.releases.back().is_some_and(|&b| b <= now.as_ps()) {
-            self.releases.clear();
-        }
-        if self.releases.len() + n <= self.capacity {
-            self.acquires += n as u64;
-            Some(now)
-        } else {
-            None
-        }
-    }
-
     /// Slots currently held.
     pub fn in_use(&self) -> usize {
         self.releases.len()
@@ -242,61 +210,6 @@ mod tests {
         let mut g = SlotGate::new(1);
         g.release_at(ns(10));
         g.release_at(ns(20));
-    }
-
-    #[test]
-    fn acquire_batch_matches_per_slot_loop() {
-        // Same schedule through both paths: final state and every
-        // counter must agree whenever the batch path engages.
-        let mut batched = SlotGate::new(4);
-        let mut scalar = SlotGate::new(4);
-        let mut t = SimTime::ZERO;
-        for round in 0u64..50 {
-            let n = (round % 4 + 1) as usize;
-            let now = t;
-            match batched.acquire_batch(now, n) {
-                Some(at) => {
-                    assert_eq!(at, now);
-                    for i in 0..n {
-                        batched.release_at(now + ns(10 + i as u64));
-                    }
-                }
-                None => {
-                    for i in 0..n {
-                        let at = batched.acquire(now);
-                        batched.release_at(at + ns(10 + i as u64));
-                    }
-                }
-            }
-            for i in 0..n {
-                let at = scalar.acquire(now);
-                scalar.release_at(at.max(now) + ns(10 + i as u64));
-            }
-            // Alternate between expiring everything (closed loop) and
-            // keeping slots held across rounds (occupancy pressure).
-            t = if round % 3 == 0 {
-                t + ns(100)
-            } else {
-                t + ns(2)
-            };
-            assert_eq!(batched.in_use(), scalar.in_use(), "round {round}");
-            assert_eq!(batched.acquires(), scalar.acquires(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn acquire_batch_refuses_when_any_slot_would_stall() {
-        let mut g = SlotGate::new(2);
-        g.acquire_until(ns(0), ns(100));
-        // One free slot, two wanted: refuse, leave the gate untouched.
-        assert_eq!(g.acquire_batch(ns(10), 2), None);
-        assert_eq!(g.in_use(), 1);
-        assert_eq!(g.acquires(), 1, "refused batch must not count");
-        // One wanted: fits.
-        assert_eq!(g.acquire_batch(ns(10), 1), Some(ns(10)));
-        g.release_at(ns(200));
-        // Past every release the expiry sweep frees the whole gate.
-        assert_eq!(g.acquire_batch(ns(300), 2), Some(ns(300)));
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub struct DeviceEngine {
     /// Per-stage latency attribution; `None` (the default) costs one
     /// untaken branch per DMA — see `pcie-telemetry`'s
     /// zero-cost-when-disabled contract.
-    telem: Option<Box<StageStats>>,
+    telem: Option<Box<StageStats<Stage>>>,
     dma_reads: u64,
     dma_writes: u64,
     dma_write_reads: u64,
@@ -235,7 +235,7 @@ impl DeviceEngine {
     }
 
     /// The accumulated stage attribution, if enabled.
-    pub fn stage_stats(&self) -> Option<&StageStats> {
+    pub fn stage_stats(&self) -> Option<&StageStats<Stage>> {
         self.telem.as_deref()
     }
 
@@ -547,26 +547,11 @@ impl DeviceEngine {
                 self.read_tags.release_at(last);
                 data_done = data_done.max(last);
             } else {
-                // Multi-chunk: batch the gate bookkeeping across the
-                // burst (one occupancy check instead of one per TLP —
-                // exact whenever no chunk would stall, per-TLP
-                // fallback otherwise) and replay the memoised
-                // completion-split plan allocation-free.
-                let nreq = plan::quantized_chunk_count(addr, len, mrrs);
-                let tags_at = self.read_tags.acquire_batch(t0, nreq);
-                let np_at_batch = match tags_at {
-                    Some(t) => self.nonposted_credits.acquire_batch(t, nreq),
-                    None => None,
-                };
+                // Multi-chunk: replay the memoised completion-split
+                // plan allocation-free.
                 for chunk in split::read_request_chunks(addr, len, mrrs) {
-                    let tag_at = match tags_at {
-                        Some(t) => t,
-                        None => self.read_tags.acquire(t0),
-                    };
-                    let np_at = match np_at_batch {
-                        Some(t) => t,
-                        None => self.nonposted_credits.acquire(tag_at),
-                    };
+                    let tag_at = self.read_tags.acquire(t0);
+                    let np_at = self.nonposted_credits.acquire(tag_at);
                     let req = self
                         .link
                         .send_tlp(Direction::Upstream, TlpType::MRd64, 0, np_at);
@@ -1327,7 +1312,7 @@ impl Platform {
     }
 
     /// The accumulated stage attribution, if enabled.
-    pub fn stage_stats(&self) -> Option<&StageStats> {
+    pub fn stage_stats(&self) -> Option<&StageStats<Stage>> {
         self.engine.stage_stats()
     }
 
@@ -1609,7 +1594,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), 32);
+        assert_eq!(stats.count(), 32);
         // Stage contributions sum to the measured end-to-end latency
         // within floating-point rounding (the acceptance criterion).
         assert!(
@@ -1642,7 +1627,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), 16);
+        assert_eq!(stats.count(), 16);
         assert!(
             (stats.grand_total_ns() - total_lat).abs() < 1e-6 * total_lat,
             "WRRD stages {} vs end-to-end {}",
@@ -1835,7 +1820,7 @@ mod tests {
             total_lat += r.latency().as_ns_f64();
         }
         let stats = p.stage_stats().unwrap();
-        assert_eq!(stats.transactions(), n, "no aborts at this BER");
+        assert_eq!(stats.count(), n, "no aborts at this BER");
         // Stage sums must telescope exactly even with replays.
         assert!(
             (stats.grand_total_ns() - total_lat).abs() < 1e-6 * total_lat,

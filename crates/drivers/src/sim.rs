@@ -34,16 +34,12 @@
 //! packet (asserted in tests and by the `ext_drivers` benchmark).
 
 use crate::config::{DriverConfig, DriverPattern, OfferedLoad};
+use crate::rx::{poll_tick_at_or_after, Pending, Refill, RxOutcome, RxPath, RX_SLOTS, SLOT_BYTES};
 use pcie_device::{DmaPath, Platform};
-use pcie_host::buffer::BufferAllocator;
-use pcie_host::HostBuffer;
-use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, DriverStage, DriverStageSample, DriverStageStats, Snapshot};
-use std::collections::VecDeque;
+use pcie_sim::{EventQueue, SimTime, SplitMix64};
+use pcie_telemetry::{CounterGroup, DriverStage, Snapshot, StageSample, StageStats};
 
-use self::ring_offsets::{
-    CQ_RING_OFF, DESC_ENTRY, MSI_VECTOR_OFF, RX_RING_OFF, TXWB_OFF, TX_RING_OFF,
-};
+use self::ring_offsets::{DESC_ENTRY, MSI_VECTOR_OFF, TXWB_OFF, TX_RING_OFF};
 
 /// Descriptor-buffer layout constants shared by the simulation and its
 /// documentation (DESIGN.md §10).
@@ -176,17 +172,6 @@ pub struct DriverRunResult {
     pub p99_ns: f64,
 }
 
-/// One RX packet visible in host memory awaiting driver attention.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    /// Wire arrival time.
-    arr: SimTime,
-    /// Host-memory visibility (payload + completion absorbed).
-    hw: SimTime,
-    /// Packet index (selects the buffer slot).
-    idx: u32,
-}
-
 /// A processed packet awaiting TX issuance, with its stage boundaries.
 #[derive(Debug, Clone, Copy)]
 struct TxItem {
@@ -210,7 +195,9 @@ struct TxItem {
 /// *scheduled* when decided and *issued* phase by phase, each phase's
 /// platform calls carrying a want time equal to the phase's own event
 /// time — the same "issue at or behind now" discipline as `NicSim`'s
-/// lag, generalised to an event queue.
+/// lag, generalised to an event queue (see
+/// [`EventQueue::pop_before`]). RX refill phases share the queue, so
+/// they keep their FIFO tie order with the TX phases.
 #[derive(Debug, Clone)]
 enum Deferred {
     /// Driver publishes TX descriptors and rings the doorbell.
@@ -222,8 +209,8 @@ enum Deferred {
     TxDescFetch {
         /// Doorbell arrival at the device (TX-post stage boundary).
         db_arr: SimTime,
-        /// Coalesced descriptor ranges to fetch.
-        ranges: Vec<(u64, u32)>,
+        /// First TX ring slot of the batch.
+        first: u32,
         /// The batch, carried through to completion.
         items: Vec<TxItem>,
     },
@@ -240,19 +227,8 @@ enum Deferred {
         /// Descriptors to retire.
         n: u32,
     },
-    /// Driver returns `n` buffers to the free list (+ doorbell).
-    RefillPost {
-        /// Buffers returned.
-        n: u32,
-    },
-    /// Device fetches the refill descriptors; the buffers become
-    /// usable when the fetch completes.
-    RefillFetch {
-        /// Coalesced descriptor ranges to fetch.
-        ranges: Vec<(u64, u32)>,
-        /// Buffers credited on completion.
-        n: u32,
-    },
+    /// An RX refill phase.
+    Refill(Refill),
 }
 
 /// A driver interaction-pattern simulation bound to a platform.
@@ -268,30 +244,17 @@ pub struct DriverSim {
     /// The knobs in force.
     pub cfg: DriverConfig,
     platform: Platform,
-    /// Packet payload buffer: RX slots in the lower half, TX in the
-    /// upper, 2 KiB each.
-    pkt_buf: HostBuffer,
-    /// Descriptor buffer: rings + MSI vector (see [`ring_offsets`]).
-    desc_buf: HostBuffer,
-    /// RX free-list / fill ring (driver produces, device consumes).
-    rx_ring: pcie_nic::DescriptorRing,
+    /// The RX ring path: packet buffer (RX slots in the lower half,
+    /// TX in the upper, 2 KiB each), descriptor buffer (rings + MSI
+    /// vector, see [`ring_offsets`]), RX and completion rings.
+    rx: RxPath,
     /// TX ring (driver produces, device consumes).
     tx_ring: pcie_nic::DescriptorRing,
-    /// Completion ring (device produces, driver consumes).
-    cq_ring: pcie_nic::DescriptorRing,
-    /// RX buffers the *device* currently holds (posted and fetched).
-    buffers_avail: u32,
-    /// Refill batches in flight: (device-visible time, buffer count).
-    refill_events: VecDeque<(SimTime, u32)>,
-    /// Buffers consumed since the last refill batch.
-    consumed_since_refill: u32,
-    /// Packets visible in host memory awaiting driver processing.
-    pending: VecDeque<Pending>,
     /// Scheduled interaction phases not yet issued to the platform,
     /// on the simulator's timing wheel: time-ordered with FIFO
     /// tie-breaking (see [`Deferred`]), with the wheel's
     /// scheduled-in-the-past check guarding the driver's event logic.
-    deferred: pcie_sim::EventQueue<Deferred>,
+    deferred: EventQueue<Deferred>,
     /// When the driver core becomes free.
     cpu_free: SimTime,
     /// Earliest next poll-loop iteration (busy-polling patterns).
@@ -301,13 +264,12 @@ pub struct DriverSim {
     /// Event counters.
     pub counters: DriverCounters,
     /// Per-stage latency attribution for delivered packets.
-    pub stages: DriverStageStats,
+    pub stages: StageStats<DriverStage>,
     /// XDP verdict stream (forked from the config seed).
     rng: SplitMix64,
     /// Latest TX wire completion.
     done_max: SimTime,
     slot_scratch: Vec<u32>,
-    range_scratch: Vec<(u64, u32)>,
 }
 
 impl DriverSim {
@@ -317,69 +279,37 @@ impl DriverSim {
     ///
     /// # Panics
     /// On an invalid config (see [`DriverConfig::validate`]).
-    pub fn new(pattern: DriverPattern, cfg: DriverConfig, platform: Platform) -> Self {
+    pub fn new(pattern: DriverPattern, cfg: DriverConfig, mut platform: Platform) -> Self {
         cfg.validate().expect("invalid driver config");
-        let mut alloc = BufferAllocator::default_layout();
-        let pkt_buf = alloc.alloc(4 << 20, 0);
-        let desc_buf = alloc.alloc(64 * 1024, 0);
-        let cq_cap = match pattern {
+        let cq_size = match pattern {
             DriverPattern::IoUring => cfg.cq_size,
             _ => cfg.ring_size,
         };
-        let rx_ring =
-            pcie_nic::DescriptorRing::new(&desc_buf, RX_RING_OFF, DESC_ENTRY, cfg.ring_size);
+        // 4 MiB: RX slots in the lower half, TX slots in the upper.
+        let pkt_buf_bytes = 2 * u64::from(RX_SLOTS) * SLOT_BYTES;
+        let (rx, fill_done) = RxPath::new(&mut platform, pkt_buf_bytes, cfg.ring_size, cq_size);
         let tx_ring =
-            pcie_nic::DescriptorRing::new(&desc_buf, TX_RING_OFF, DESC_ENTRY, cfg.ring_size);
-        let cq_ring = pcie_nic::DescriptorRing::new(&desc_buf, CQ_RING_OFF, DESC_ENTRY, cq_cap);
-        let rng = SplitMix64::salted(cfg.seed, DRIVER_STREAM_SALT).fork();
-        let mut sim = DriverSim {
+            pcie_nic::DescriptorRing::new(rx.desc_buf(), TX_RING_OFF, DESC_ENTRY, cfg.ring_size);
+        DriverSim {
             pattern,
             cfg,
             platform,
-            pkt_buf,
-            desc_buf,
-            rx_ring,
+            rx,
             tx_ring,
-            cq_ring,
-            buffers_avail: 0,
-            refill_events: VecDeque::new(),
-            consumed_since_refill: 0,
-            pending: VecDeque::new(),
-            deferred: pcie_sim::EventQueue::new(),
+            deferred: EventQueue::new(),
             cpu_free: SimTime::ZERO,
             next_poll: SimTime::ZERO,
             run_pkt_size: 0,
-            counters: DriverCounters::default(),
-            stages: DriverStageStats::new(),
-            rng,
-            done_max: SimTime::ZERO,
+            // The initial fill's tail write.
+            counters: DriverCounters {
+                doorbells: 1,
+                ..DriverCounters::default()
+            },
+            stages: StageStats::new(),
+            rng: SplitMix64::salted(cfg.seed, DRIVER_STREAM_SALT).fork(),
+            done_max: fill_done,
             slot_scratch: Vec::with_capacity(1024),
-            range_scratch: Vec::with_capacity(8),
-        };
-        // Rings and packet buffers are driver-touched continuously and
-        // stay cache-resident, as in `NicSim`.
-        sim.platform.host.host_warm(&sim.desc_buf, 0, 64 * 1024);
-        sim.platform.host.host_warm(&sim.pkt_buf, 0, 4 << 20);
-        // Initial fill: the driver posts the whole free list before
-        // enabling RX — one tail write, one coalesced descriptor
-        // fetch. Traffic starts only after the fetch completes.
-        let initial = sim.rx_ring.free();
-        sim.rx_ring.produce_into(initial, &mut sim.slot_scratch);
-        sim.counters.doorbells += 1;
-        let t0 = sim.platform.pio_write(SimTime::ZERO, 4);
-        sim.rx_ring
-            .dma_ranges_into(&sim.slot_scratch, &mut sim.range_scratch);
-        let mut done = t0;
-        for i in 0..sim.range_scratch.len() {
-            let (off, len) = sim.range_scratch[i];
-            let r = sim
-                .platform
-                .dma_read(t0, &sim.desc_buf, off, len, DmaPath::DmaEngine);
-            done = done.max(r.done);
         }
-        sim.buffers_avail = initial;
-        sim.done_max = done;
-        sim
     }
 
     /// Offers `n` packets of `pkt_size` bytes under the configured
@@ -399,7 +329,7 @@ impl DriverSim {
         for i in 0..n {
             let mut arr = next_arr;
             self.advance_driver(arr);
-            self.apply_refills(arr);
+            self.rx.apply_refills(arr);
             if self.deferred.is_empty() {
                 // Quiescent: every interaction phase at or before `arr`
                 // has been issued and nothing later is pending, and all
@@ -410,7 +340,7 @@ impl DriverSim {
                 // (p99) runs with coalescing timers tens of µs out.
                 self.deferred.fast_forward(arr);
             }
-            if self.buffers_avail == 0 {
+            if self.rx.buffers_avail() == 0 {
                 match self.cfg.load {
                     OfferedLoad::OpenLoopGbps(_) => {
                         // Open loop: the wire does not wait. No posted
@@ -429,7 +359,13 @@ impl DriverSim {
                 }
             }
             self.counters.offered += 1;
-            self.device_rx(arr, pkt_size, i);
+            // The packet's ordinal in the run picks its buffer slot,
+            // so a dropped packet still uses up a slot index.
+            let rx = self.rx.device_rx(&mut self.platform, arr, pkt_size, i);
+            if let RxOutcome::CqOverflow(payload_done) = rx {
+                self.counters.cq_overflows += 1;
+                self.done_max = self.done_max.max(payload_done);
+            }
             next_arr += inter;
         }
         // Drain: service everything still pending. Coalescing timers
@@ -474,10 +410,10 @@ impl DriverSim {
     pub fn snapshot(&self, label: impl Into<String>) -> Snapshot {
         let mut snap = self.platform.telemetry_snapshot(label);
         snap.add_group(self.counters.telemetry_group(self.pattern));
-        snap.add_group(self.stages.telemetry_group());
-        snap.add_group(self.rx_ring.telemetry_group("rx"));
+        snap.add_group(self.stages.telemetry_group("driver.stages"));
+        snap.add_group(self.rx.rx_ring().telemetry_group("rx"));
         snap.add_group(self.tx_ring.telemetry_group("tx"));
-        snap.add_group(self.cq_ring.telemetry_group("cq"));
+        snap.add_group(self.rx.cq_ring().telemetry_group("cq"));
         snap
     }
 
@@ -486,51 +422,15 @@ impl DriverSim {
         &self.platform
     }
 
-    // ----- device side ---------------------------------------------
-
-    /// One packet arriving off the wire at `arr`: consume a posted
-    /// buffer, DMA the payload, write the completion entry.
-    fn device_rx(&mut self, arr: SimTime, pkt_size: u32, idx: u32) {
-        debug_assert!(self.buffers_avail > 0);
-        self.rx_ring.consume_into(1, &mut self.slot_scratch);
-        debug_assert!(!self.slot_scratch.is_empty());
-        self.buffers_avail -= 1;
-
-        let rx_slots = (self.pkt_buf.len() / 2 / 2048) as u32;
-        let rx_off = (idx % rx_slots) as u64 * 2048;
-        let payload =
-            self.platform
-                .dma_write(arr, &self.pkt_buf, rx_off, pkt_size, DmaPath::DmaEngine);
-
-        // Completion entry. A full CQ drops the completion (io_uring
-        // CQ-overflow semantics: the payload DMA already happened —
-        // wasted wire work) and the device silently recycles the frame
-        // to its free list, with no host involvement.
-        if self.cq_ring.free() == 0 {
-            self.counters.cq_overflows += 1;
-            self.rx_ring.produce_into(1, &mut self.slot_scratch);
-            self.buffers_avail += 1;
-            self.done_max = self.done_max.max(payload.done);
-            return;
-        }
-        self.cq_ring.produce_into(1, &mut self.slot_scratch);
-        let cq_off = self.cq_ring.slot_offset(self.slot_scratch[0]);
-        let wb =
-            self.platform
-                .dma_write(arr, &self.desc_buf, cq_off, DESC_ENTRY, DmaPath::DmaEngine);
-        let hw = payload.absorbed.max(wb.absorbed);
-        self.pending.push_back(Pending { arr, hw, idx });
-    }
-
     /// Blocks (in virtual time) until a posted buffer is available;
     /// returns the adjusted arrival time.
     fn wait_for_buffer(&mut self, mut arr: SimTime) -> SimTime {
         let mut guard = 0u32;
-        while self.buffers_avail == 0 {
+        while self.rx.buffers_avail() == 0 {
             // The earliest thing that can make progress: a refill
             // fetch landing, a scheduled interaction phase, or a
             // notification trigger.
-            let mut next = self.refill_events.iter().map(|&(t, _)| t).min();
+            let mut next = self.rx.next_refill_time();
             for cand in [self.deferred.peek_time(), self.next_action_time()]
                 .into_iter()
                 .flatten()
@@ -546,7 +446,7 @@ impl DriverSim {
             };
             arr = arr.max(t);
             self.advance_driver(arr);
-            self.apply_refills(arr);
+            self.rx.apply_refills(arr);
             guard += 1;
             assert!(guard < 1_000_000, "livelock in buffer wait");
         }
@@ -564,17 +464,15 @@ impl DriverSim {
     /// notification triggers — whose time is ≤ `until`, in time order.
     fn advance_driver(&mut self, until: SimTime) {
         loop {
-            let trigger = self.next_action_time();
-            let phase = self.deferred.peek_time();
-            match (trigger, phase) {
-                // Scheduled phases win ties: they were decided by an
-                // earlier round.
-                (_, Some(ti)) if ti <= until && trigger.is_none_or(|tt| ti <= tt) => {
-                    let (at, action) = self.deferred.pop().unwrap();
-                    self.issue(at, action);
-                }
-                (Some(tt), _) if tt <= until => self.service(tt),
-                _ => break,
+            let trigger = self.next_action_time().filter(|&t| t <= until);
+            // Scheduled phases win ties: they were decided by an
+            // earlier round.
+            if let Some((at, action)) = self.deferred.pop_before(trigger.unwrap_or(until)) {
+                self.issue(at, action);
+            } else if let Some(t) = trigger {
+                self.service(t);
+            } else {
+                break;
             }
         }
     }
@@ -582,7 +480,8 @@ impl DriverSim {
     /// When the driver next notices pending work, or `None` if nothing
     /// is pending.
     fn next_action_time(&self) -> Option<SimTime> {
-        let first = self.pending.front()?;
+        let pending = self.rx.pending();
+        let first = pending.front()?;
         Some(match self.pattern {
             DriverPattern::DpdkPoll | DriverPattern::AfXdp => {
                 // The poll loop runs on a fixed-cost iteration grid
@@ -594,8 +493,8 @@ impl DriverSim {
             }
             DriverPattern::KernelIrq | DriverPattern::IoUring => {
                 let frames = self.cfg.irq_coalesce_frames as usize;
-                if self.pending.len() >= frames {
-                    self.pending[frames - 1].hw
+                if pending.len() >= frames {
+                    pending[frames - 1].hw
                 } else {
                     first.hw + SimTime::from_us(self.cfg.irq_coalesce_usecs as u64)
                 }
@@ -605,7 +504,7 @@ impl DriverSim {
 
     /// Runs one notification + processing round triggered at `t`.
     fn service(&mut self, t: SimTime) {
-        self.apply_refills(t);
+        self.rx.apply_refills(t);
         let aware = match self.pattern {
             DriverPattern::DpdkPoll | DriverPattern::AfXdp => {
                 // Count iterations that found nothing between the last
@@ -621,7 +520,8 @@ impl DriverSim {
             }
             DriverPattern::KernelIrq | DriverPattern::IoUring => {
                 let frames = self.cfg.irq_coalesce_frames as usize;
-                if self.pending.len() >= frames && self.pending[frames - 1].hw <= t {
+                let pending = self.rx.pending();
+                if pending.len() >= frames && pending[frames - 1].hw <= t {
                     self.counters.coalesce_frame_fires += 1;
                 } else {
                     self.counters.coalesce_timer_fires += 1;
@@ -629,7 +529,7 @@ impl DriverSim {
                 self.counters.irqs += 1;
                 // The MSI is a real 4 B posted write through the same
                 // issue port and credit gates as the data path.
-                let msi_at = self.platform.msi(t, &self.desc_buf, MSI_VECTOR_OFF);
+                let msi_at = self.platform.msi(t, self.rx.desc_buf(), MSI_VECTOR_OFF);
                 let mut wake = msi_at + self.cfg.irq_entry;
                 if self.cfg.driver_reads_registers && self.pattern == DriverPattern::KernelIrq {
                     // Legacy drivers re-read the ring head register
@@ -642,34 +542,27 @@ impl DriverSim {
                 wake
             }
         };
-        let start = aware.max(self.cpu_free);
+        let aware = aware.max(self.cpu_free);
 
-        // Collect the batch: everything visible by the time the
-        // handler actually runs, bounded by the burst size for the
-        // polling patterns (interrupt handlers drain NAPI-style).
+        // The batch: everything visible by the time the handler
+        // actually runs, bounded by the burst size for the polling
+        // patterns (interrupt handlers drain NAPI-style). Driver
+        // software — RX processing, app echo, TX submission — is
+        // serialised on the single driver core.
         let limit = match self.pattern {
-            DriverPattern::DpdkPoll | DriverPattern::AfXdp => self.cfg.burst as usize,
-            DriverPattern::KernelIrq | DriverPattern::IoUring => usize::MAX,
+            DriverPattern::DpdkPoll | DriverPattern::AfXdp => self.cfg.burst,
+            DriverPattern::KernelIrq | DriverPattern::IoUring => u32::MAX,
         };
-        let mut batch = Vec::with_capacity(limit.min(self.pending.len()));
-        while batch.len() < limit {
-            match self.pending.front() {
-                Some(p) if p.hw <= start => batch.push(self.pending.pop_front().unwrap()),
-                _ => break,
-            }
-        }
-        debug_assert!(!batch.is_empty(), "service round found nothing");
-        self.process_batch(start, &batch);
-    }
-
-    /// Driver software: RX processing, app echo, TX submission —
-    /// serialised on the single driver core.
-    fn process_batch(&mut self, aware: SimTime, batch: &[Pending]) {
         let cfg = self.cfg;
         let mut t = aware;
-        let mut tx_queue: Vec<TxItem> = Vec::with_capacity(batch.len());
-        for p in batch {
-            self.cq_ring.consume_into(1, &mut self.slot_scratch);
+        let mut tx_queue: Vec<TxItem> =
+            Vec::with_capacity(self.rx.pending().len().min(limit as usize));
+        let mut taken = 0u32;
+        while taken < limit {
+            let Some(p) = self.rx.take_visible(aware) else {
+                break;
+            };
+            taken += 1;
             if self.pattern == DriverPattern::IoUring {
                 self.counters.cqes += 1;
             }
@@ -701,12 +594,13 @@ impl DriverSim {
             let app_done = proc_done + cfg.app + copy;
             t = app_done;
             tx_queue.push(TxItem {
-                p: *p,
+                p,
                 aware,
                 proc_done,
                 app_done,
             });
         }
+        debug_assert!(taken > 0, "service round found nothing");
         self.cpu_free = t;
         self.next_poll = t;
 
@@ -719,14 +613,8 @@ impl DriverSim {
         // Buffers return to the free list only after the driver has
         // processed their packets (the frame is in use until then) —
         // this is what bounds the completion queue in closed loop.
-        self.consumed_since_refill += batch.len() as u32;
-        // Cap the threshold at half the ring so small test rings still
-        // refill before the free list can run dry in closed loop.
-        let threshold = self.cfg.refill_batch.min(self.cfg.ring_size / 2).max(1);
-        if self.consumed_since_refill >= threshold {
-            let n = self.consumed_since_refill;
-            self.consumed_since_refill = 0;
-            self.schedule(self.cpu_free, Deferred::RefillPost { n });
+        if let Some(n) = self.rx.release(taken, self.cfg.refill_batch) {
+            self.schedule(self.cpu_free, Deferred::Refill(Refill::Post { n }));
         }
     }
 
@@ -744,35 +632,37 @@ impl DriverSim {
                 debug_assert_eq!(self.slot_scratch.len(), items.len(), "TX ring full");
                 self.counters.doorbells += 1;
                 let db_arr = self.platform.pio_write(at, 4);
-                self.tx_ring
-                    .dma_ranges_into(&self.slot_scratch, &mut self.range_scratch);
-                let ranges = self.range_scratch.clone();
+                let first = self.slot_scratch.first().copied().unwrap_or(0);
                 self.schedule(
                     db_arr,
                     Deferred::TxDescFetch {
                         db_arr,
-                        ranges,
+                        first,
                         items,
                     },
                 );
             }
             Deferred::TxDescFetch {
                 db_arr,
-                ranges,
+                first,
                 items,
             } => {
                 let mut desc_done = at;
-                for (off, len) in ranges {
-                    let r =
-                        self.platform
-                            .dma_read(at, &self.desc_buf, off, len, DmaPath::DmaEngine);
+                for (off, len) in self.tx_ring.span_ranges(first, items.len() as u32) {
+                    let r = self.platform.dma_read(
+                        at,
+                        self.rx.desc_buf(),
+                        off,
+                        len,
+                        DmaPath::DmaEngine,
+                    );
                     desc_done = desc_done.max(r.done);
                 }
                 self.schedule(desc_done, Deferred::TxPayload { db_arr, items });
             }
             Deferred::TxPayload { db_arr, items } => {
-                let tx_base = self.pkt_buf.len() / 2;
-                let tx_slots = (self.pkt_buf.len() / 2 / 2048) as u32;
+                // TX slots mirror the RX slots in the buffer's upper half.
+                let tx_base = u64::from(RX_SLOTS) * SLOT_BYTES;
                 let pkt_size = self.run_pkt_size;
                 let n = items.len() as u32;
                 let mut last_done = at;
@@ -783,23 +673,23 @@ impl DriverSim {
                     app_done,
                 } in items
                 {
-                    let tx_off = tx_base + (p.idx % tx_slots) as u64 * 2048;
+                    let tx_off = tx_base + u64::from(p.slot) * SLOT_BYTES;
                     let r = self.platform.dma_read(
                         at,
-                        &self.pkt_buf,
+                        self.rx.pkt_buf(),
                         tx_off,
                         pkt_size,
                         DmaPath::DmaEngine,
                     );
                     last_done = last_done.max(r.done);
-                    let mut sample = DriverStageSample::default();
+                    let mut sample = StageSample::default();
                     sample
-                        .set(DriverStage::RxDma, diff_ns(p.hw, p.arr))
-                        .set(DriverStage::Notify, diff_ns(aware, p.hw))
-                        .set(DriverStage::RxSoftware, diff_ns(proc_done, aware))
-                        .set(DriverStage::App, diff_ns(app_done, proc_done))
-                        .set(DriverStage::TxPost, diff_ns(db_arr, app_done))
-                        .set(DriverStage::TxDma, diff_ns(r.done, db_arr));
+                        .set(DriverStage::RxDma, p.hw.ns_since(p.arr))
+                        .set(DriverStage::Notify, aware.ns_since(p.hw))
+                        .set(DriverStage::RxSoftware, proc_done.ns_since(aware))
+                        .set(DriverStage::App, app_done.ns_since(proc_done))
+                        .set(DriverStage::TxPost, db_arr.ns_since(app_done))
+                        .set(DriverStage::TxDma, r.done.ns_since(db_arr));
                     self.stages.record(&sample);
                     self.counters.delivered += 1;
                     self.done_max = self.done_max.max(r.done);
@@ -811,7 +701,7 @@ impl DriverSim {
             Deferred::TxWriteback { n } => {
                 let wb = self.platform.dma_write(
                     at,
-                    &self.desc_buf,
+                    self.rx.desc_buf(),
                     TXWB_OFF,
                     DESC_ENTRY,
                     DmaPath::DmaEngine,
@@ -819,10 +709,9 @@ impl DriverSim {
                 self.done_max = self.done_max.max(wb.absorbed);
                 self.tx_ring.consume_into(n, &mut self.slot_scratch);
             }
-            Deferred::RefillPost { n } => {
+            Deferred::Refill(Refill::Post { n }) => {
                 self.counters.refills += 1;
-                self.rx_ring.produce_into(n, &mut self.slot_scratch);
-                debug_assert_eq!(self.slot_scratch.len() as u32, n, "freelist accounting");
+                let first = self.rx.post_refill(n);
                 let fetch_at = match self.pattern {
                     DriverPattern::KernelIrq | DriverPattern::DpdkPoll => {
                         // Tail-pointer doorbell: the device learns
@@ -835,7 +724,7 @@ impl DriverSim {
                         // device drained the fill ring; otherwise the
                         // device's fill poller picks the entries up on
                         // its next pass.
-                        if self.buffers_avail == 0 && self.refill_events.is_empty() {
+                        if self.rx.device_starved() {
                             self.counters.wakeups += 1;
                             self.platform.pio_write(at, 4)
                         } else {
@@ -844,57 +733,13 @@ impl DriverSim {
                     }
                     DriverPattern::IoUring => at + FILL_POLL,
                 };
-                self.rx_ring
-                    .dma_ranges_into(&self.slot_scratch, &mut self.range_scratch);
-                let ranges = self.range_scratch.clone();
-                self.schedule(fetch_at, Deferred::RefillFetch { ranges, n });
+                self.schedule(fetch_at, Deferred::Refill(Refill::Fetch { first, n }));
             }
-            Deferred::RefillFetch { ranges, n } => {
-                let mut done = at;
-                for (off, len) in ranges {
-                    let r =
-                        self.platform
-                            .dma_read(at, &self.desc_buf, off, len, DmaPath::DmaEngine);
-                    done = done.max(r.done);
-                }
-                self.refill_events.push_back((done, n));
+            Deferred::Refill(Refill::Fetch { first, n }) => {
+                self.rx.fetch_refill(&mut self.platform, at, first, n);
             }
         }
     }
-
-    /// Credits refill batches whose descriptor fetch completed by
-    /// `now` back to the device. Fetch completions are not guaranteed
-    /// monotone across batches, so this scans the whole (short) queue.
-    fn apply_refills(&mut self, now: SimTime) {
-        let mut credited = 0u32;
-        self.refill_events.retain(|&(t, n)| {
-            if t <= now {
-                credited += n;
-                false
-            } else {
-                true
-            }
-        });
-        self.buffers_avail += credited;
-    }
-}
-
-/// First tick of a `step`-spaced grid anchored at `base` that is at or
-/// after `target`.
-fn poll_tick_at_or_after(base: SimTime, step: SimTime, target: SimTime) -> SimTime {
-    if base >= target {
-        return base;
-    }
-    let gap = target.saturating_sub(base).as_ps();
-    let step_ps = step.as_ps().max(1);
-    let k = gap.div_ceil(step_ps);
-    base.saturating_add(SimTime::from_ps(k.saturating_mul(step_ps)))
-}
-
-/// Non-negative difference in nanoseconds. Stage boundaries are
-/// monotone by construction, so the clamp only guards rounding.
-fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
-    later.saturating_sub(earlier).as_ns_f64()
 }
 
 #[cfg(test)]
@@ -925,7 +770,7 @@ mod tests {
             let mut s = sim(pattern, DriverConfig::default());
             s.run(256, 1_000);
             let grand = s.stages.grand_total_ns();
-            let per_stage: f64 = pcie_telemetry::DRIVER_STAGES
+            let per_stage: f64 = <DriverStage as pcie_telemetry::StageSet>::ALL
                 .iter()
                 .map(|&st| s.stages.total_ns(st))
                 .sum();
@@ -934,7 +779,7 @@ mod tests {
                 "{}: stages must sum to the grand total",
                 pattern.name()
             );
-            assert_eq!(s.stages.packets(), 1_000);
+            assert_eq!(s.stages.count(), 1_000);
         }
     }
 

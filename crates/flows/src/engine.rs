@@ -27,7 +27,7 @@ use crate::table::{FlowTable, FlowTableStats};
 use pcie_device::Platform;
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot};
+use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot, StageStats};
 
 /// Stream-family salts for the engine's five RNG consumers (see
 /// `SplitMix64::salted`); distinct from the fault and driver salts.
@@ -281,9 +281,10 @@ impl FlowRunReport {
         h
     }
 
-    /// Telemetry snapshot: `flows.table`, `flows.rss`, and one
-    /// `flows.queue<N>` group per queue — telescoping with the driver
-    /// zoo's `driver.*` stage convention.
+    /// Telemetry snapshot: `flows.table`, `flows.rss`, `flows.stages`
+    /// (the per-queue stage accumulators merged in queue order, in the
+    /// shape of the driver zoo's `driver.stages`, TX stages zero), and
+    /// one `flows.queue<N>` group per queue.
     pub fn snapshot(&self, label: impl Into<String>) -> Snapshot {
         let mut snap = Snapshot::new(label);
         let mut table = CounterGroup::new("flows.table");
@@ -320,6 +321,11 @@ impl FlowRunReport {
                 (pmax * 1000).checked_div(pmin).unwrap_or(u64::MAX),
             );
         snap.add_group(rss);
+        let mut stages = StageStats::new();
+        for q in &self.queues {
+            stages.merge(&q.stages);
+        }
+        snap.add_group(stages.telemetry_group("flows.stages"));
         for q in &self.queues {
             snap.add_group(q.telemetry_group());
         }
@@ -552,7 +558,13 @@ mod tests {
     fn snapshot_has_the_flow_groups() {
         let r = engine(4e6, 5_000).run(&Pool::sequential(), build);
         let snap = r.snapshot("flows test");
-        for comp in ["flows.table", "flows.rss", "flows.queue0", "flows.queue3"] {
+        for comp in [
+            "flows.table",
+            "flows.rss",
+            "flows.stages",
+            "flows.queue0",
+            "flows.queue3",
+        ] {
             assert!(
                 snap.groups().iter().any(|g| g.component == comp),
                 "missing {comp}"

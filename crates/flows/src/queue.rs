@@ -2,29 +2,23 @@
 //!
 //! Each RSS queue owns a descriptor ring, a completion ring, a packet
 //! buffer and a dedicated service core, and is driven by the packet
-//! schedule the engine steered to it. The device side is the same
-//! timed machinery as `pcie_drivers::DriverSim` — payload DMA writes,
-//! completion write-backs, descriptor fetches and doorbells through
-//! the full link/host model — but the path terminates at the
-//! application (no TX echo): the engine measures *ingest* capacity
-//! and tail latency per queue, which is what RSS fans out.
+//! schedule the engine steered to it. The device side is
+//! `pcie_drivers::DriverSim`'s own RX ring path
+//! ([`RxPath`]) — payload DMA writes, completion write-backs,
+//! descriptor fetches and doorbells through the full link/host model —
+//! but the path terminates at the application (no TX echo): the engine
+//! measures *ingest* capacity and tail latency per queue, which is
+//! what RSS fans out.
 //!
 //! Telemetry telescopes over four of the six driver stages
 //! (`rx_dma → notify → rx_sw → app`; the TX stages record zero), so
 //! per-queue breakdowns remain comparable with the driver zoo's.
 
-use pcie_device::{DmaPath, Platform};
-use pcie_host::buffer::BufferAllocator;
-use pcie_host::HostBuffer;
-use pcie_nic::DescriptorRing;
-use pcie_sim::{EventQueue, SimTime};
-use pcie_telemetry::{
-    CounterGroup, DriverStage, DriverStageSample, DriverStageStats, LatencyHistogram,
-};
-use std::collections::VecDeque;
-
-use pcie_drivers::sim::ring_offsets::{CQ_RING_OFF, DESC_ENTRY, RX_RING_OFF};
+use pcie_device::Platform;
+use pcie_drivers::rx::{poll_tick_at_or_after, Refill, RxOutcome, RxPath, RX_SLOTS, SLOT_BYTES};
 use pcie_drivers::{DriverConfig, DriverPattern};
+use pcie_sim::{EventQueue, SimTime};
+use pcie_telemetry::{CounterGroup, DriverStage, LatencyHistogram, StageSample, StageStats};
 
 /// Per-queue software service costs and ring geometry.
 ///
@@ -150,7 +144,7 @@ pub struct QueueReport {
     pub counters: QueueCounters,
     /// Per-stage latency attribution for delivered packets (TX
     /// stages are zero on this RX-terminating path).
-    pub stages: DriverStageStats,
+    pub stages: StageStats<DriverStage>,
     /// Virtual time from first arrival to last delivery/DMA.
     pub elapsed: SimTime,
     /// High-water mark of RX descriptor-ring occupancy.
@@ -212,57 +206,23 @@ impl QueueReport {
     }
 }
 
-/// A packet visible in host memory awaiting the queue core.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    arr: SimTime,
-    hw: SimTime,
-    size: u32,
-}
-
-/// A scheduled refill phase not yet issued to the platform — the same
-/// deferred-issuance discipline as `DriverSim` (platform issue ports
-/// are FIFO; issuing out of call order at future want times compounds
-/// into artificial queueing).
-#[derive(Debug, Clone)]
-enum Deferred {
-    /// Driver returns `n` buffers to the ring and rings the doorbell.
-    RefillPost {
-        /// Buffers returned.
-        n: u32,
-    },
-    /// The device fetches the refill descriptors.
-    RefillFetch {
-        /// Coalesced descriptor ranges to fetch.
-        ranges: Vec<(u64, u32)>,
-        /// Buffers credited on completion.
-        n: u32,
-    },
-}
-
 /// One RX queue bound to its own platform. Build, [`QueueSim::run`]
 /// the steered schedule, read the report.
 pub struct QueueSim {
     queue: u32,
     model: ServiceModel,
     platform: Platform,
-    pkt_buf: HostBuffer,
-    desc_buf: HostBuffer,
-    rx_ring: DescriptorRing,
-    cq_ring: DescriptorRing,
-    buffers_avail: u32,
-    refill_events: VecDeque<(SimTime, u32)>,
-    consumed_since_refill: u32,
-    pending: VecDeque<Pending>,
-    deferred: EventQueue<Deferred>,
+    rx: RxPath,
+    /// Refill phases not yet issued to the platform (deferred
+    /// issuance, as in `DriverSim`).
+    refills: EventQueue<Refill>,
     cpu_free: SimTime,
     next_poll: SimTime,
     counters: QueueCounters,
-    stages: DriverStageStats,
+    stages: StageStats<DriverStage>,
     done_max: SimTime,
+    /// Packets accepted so far: picks each one's buffer slot.
     rx_seq: u32,
-    slot_scratch: Vec<u32>,
-    range_scratch: Vec<(u64, u32)>,
 }
 
 impl QueueSim {
@@ -272,57 +232,34 @@ impl QueueSim {
     ///
     /// # Panics
     /// On an invalid [`ServiceModel`].
-    pub fn new(queue: u32, model: ServiceModel, platform: Platform) -> QueueSim {
+    pub fn new(queue: u32, model: ServiceModel, mut platform: Platform) -> QueueSim {
         model.validate().expect("invalid service model");
-        let mut alloc = BufferAllocator::default_layout();
-        let pkt_buf = alloc.alloc(2 << 20, 0);
-        let desc_buf = alloc.alloc(64 * 1024, 0);
-        let rx_ring = DescriptorRing::new(&desc_buf, RX_RING_OFF, DESC_ENTRY, model.ring_size);
-        let cq_ring = DescriptorRing::new(&desc_buf, CQ_RING_OFF, DESC_ENTRY, model.ring_size);
-        let mut sim = QueueSim {
+        // 2 MiB of RX slots; the CQ is as deep as the RX ring, so it
+        // never overflows.
+        let pkt_buf_bytes = u64::from(RX_SLOTS) * SLOT_BYTES;
+        let (rx, fill_done) = RxPath::new(
+            &mut platform,
+            pkt_buf_bytes,
+            model.ring_size,
+            model.ring_size,
+        );
+        QueueSim {
             queue,
             model,
             platform,
-            pkt_buf,
-            desc_buf,
-            rx_ring,
-            cq_ring,
-            buffers_avail: 0,
-            refill_events: VecDeque::new(),
-            consumed_since_refill: 0,
-            pending: VecDeque::new(),
-            deferred: EventQueue::new(),
+            rx,
+            refills: EventQueue::new(),
             cpu_free: SimTime::ZERO,
             next_poll: SimTime::ZERO,
-            counters: QueueCounters::default(),
-            stages: DriverStageStats::new(),
-            done_max: SimTime::ZERO,
+            // The initial fill's tail write.
+            counters: QueueCounters {
+                doorbells: 1,
+                ..QueueCounters::default()
+            },
+            stages: StageStats::new(),
+            done_max: fill_done,
             rx_seq: 0,
-            slot_scratch: Vec::with_capacity(1024),
-            range_scratch: Vec::with_capacity(8),
-        };
-        // Rings and packet buffers are continuously driver-touched
-        // and stay cache-resident (as in DriverSim/NicSim).
-        sim.platform.host.host_warm(&sim.desc_buf, 0, 64 * 1024);
-        sim.platform.host.host_warm(&sim.pkt_buf, 0, 2 << 20);
-        // Initial fill: post the whole ring before enabling RX.
-        let initial = sim.rx_ring.free();
-        sim.rx_ring.produce_into(initial, &mut sim.slot_scratch);
-        sim.counters.doorbells += 1;
-        let t0 = sim.platform.pio_write(SimTime::ZERO, 4);
-        sim.rx_ring
-            .dma_ranges_into(&sim.slot_scratch, &mut sim.range_scratch);
-        let mut done = t0;
-        for i in 0..sim.range_scratch.len() {
-            let (off, len) = sim.range_scratch[i];
-            let r = sim
-                .platform
-                .dma_read(t0, &sim.desc_buf, off, len, DmaPath::DmaEngine);
-            done = done.max(r.done);
         }
-        sim.buffers_avail = initial;
-        sim.done_max = done;
-        sim
     }
 
     /// Offers `packets` (non-decreasing arrival times) to the queue
@@ -331,32 +268,33 @@ impl QueueSim {
     /// # Panics
     /// Panics if arrival times decrease.
     pub fn run(mut self, packets: &[QueuedPacket]) -> QueueReport {
+        let mut arrivals = packets.iter().peekable();
         let mut last = SimTime::ZERO;
-        for p in packets {
-            assert!(p.at >= last, "arrivals must be time-ordered");
-            last = p.at;
-            self.advance(p.at);
-            self.apply_refills(p.at);
-            if self.deferred.is_empty() {
-                // Quiescent gap: let the timing wheel jump its cursor
-                // instead of cascading across the idle stretch.
-                self.deferred.fast_forward(p.at);
+        loop {
+            // Everything due by the next arrival runs first, in time
+            // order; once the schedule is exhausted everything drains.
+            // Scheduled refill phases win ties with service rounds (they
+            // were decided by earlier rounds), which win ties with the
+            // arrival.
+            let until = arrivals.peek().map_or(SimTime::MAX, |p| p.at);
+            let trigger = self.next_service_time().filter(|&t| t <= until);
+            if let Some((at, refill)) = self.refills.pop_before(trigger.unwrap_or(until)) {
+                self.issue(at, refill);
+            } else if let Some(t) = trigger {
+                self.service(t);
+            } else if let Some(p) = arrivals.next() {
+                assert!(p.at >= last, "arrivals must be time-ordered");
+                last = p.at;
+                self.arrive(p);
+            } else {
+                break;
             }
-            self.counters.offered += 1;
-            self.counters.bytes_offered += u64::from(p.size);
-            if self.buffers_avail == 0 {
-                // Open loop: no posted buffer, the MAC drops.
-                self.counters.dropped += 1;
-                continue;
-            }
-            self.device_rx(p.at, p.size);
         }
-        self.advance(SimTime::MAX);
         QueueReport {
             queue: self.queue,
             counters: self.counters,
             elapsed: self.done_max,
-            ring_peak: self.rx_ring.max_used(),
+            ring_peak: self.rx.rx_ring().max_used(),
             stages: self.stages,
         }
     }
@@ -366,66 +304,44 @@ impl QueueSim {
         &self.platform
     }
 
-    // ----- device side ---------------------------------------------
-
-    /// One packet off the wire: consume a posted buffer, DMA the
-    /// payload, write the completion entry.
-    fn device_rx(&mut self, arr: SimTime, size: u32) {
-        debug_assert!(self.buffers_avail > 0);
-        self.rx_ring.consume_into(1, &mut self.slot_scratch);
-        debug_assert!(!self.slot_scratch.is_empty());
-        self.buffers_avail -= 1;
-
-        let slots = (self.pkt_buf.len() / 2048) as u32;
-        let off = u64::from(self.rx_seq % slots) * 2048;
+    /// One packet off the wire: into a posted buffer, or dropped when
+    /// none is posted (open loop: the wire does not wait).
+    fn arrive(&mut self, p: &QueuedPacket) {
+        self.rx.apply_refills(p.at);
+        if self.refills.is_empty() {
+            // Quiescent gap: let the timing wheel jump its cursor
+            // instead of cascading across the idle stretch.
+            self.refills.fast_forward(p.at);
+        }
+        self.counters.offered += 1;
+        self.counters.bytes_offered += u64::from(p.size);
+        if self.rx.buffers_avail() == 0 {
+            self.counters.dropped += 1;
+            return;
+        }
+        match self
+            .rx
+            .device_rx(&mut self.platform, p.at, p.size, self.rx_seq)
+        {
+            RxOutcome::Visible(hw) => self.done_max = self.done_max.max(hw),
+            RxOutcome::CqOverflow(_) => unreachable!("the CQ is as deep as the RX ring"),
+        }
         self.rx_seq = self.rx_seq.wrapping_add(1);
-        let payload = self
-            .platform
-            .dma_write(arr, &self.pkt_buf, off, size, DmaPath::DmaEngine);
-        // Completion entry. The CQ has the same capacity as the RX
-        // ring and every pending packet holds a buffer, so a slot is
-        // always free here.
-        self.cq_ring.produce_into(1, &mut self.slot_scratch);
-        debug_assert!(!self.slot_scratch.is_empty(), "CQ cannot outgrow the ring");
-        let cq_off = self.cq_ring.slot_offset(self.slot_scratch[0]);
-        let wb =
-            self.platform
-                .dma_write(arr, &self.desc_buf, cq_off, DESC_ENTRY, DmaPath::DmaEngine);
-        let hw = payload.absorbed.max(wb.absorbed);
-        self.done_max = self.done_max.max(hw);
-        self.pending.push_back(Pending { arr, hw, size });
     }
 
     // ----- driver side ---------------------------------------------
 
-    /// Runs every driver event ≤ `until` in time order (scheduled
-    /// refill phases win ties — they were decided by earlier rounds).
-    fn advance(&mut self, until: SimTime) {
-        loop {
-            let trigger = self.next_service_time();
-            let phase = self.deferred.peek_time();
-            match (trigger, phase) {
-                (_, Some(ti)) if ti <= until && trigger.is_none_or(|tt| ti <= tt) => {
-                    let (at, action) = self.deferred.pop().unwrap();
-                    self.issue(at, action);
-                }
-                (Some(tt), _) if tt <= until => self.service(tt),
-                _ => break,
-            }
-        }
-    }
-
     /// The first poll-grid tick that notices the oldest pending
     /// packet, or `None` if nothing is pending.
     fn next_service_time(&self) -> Option<SimTime> {
-        let first = self.pending.front()?;
+        let first = self.rx.pending().front()?;
         let base = self.next_poll.max(self.cpu_free);
         Some(poll_tick_at_or_after(base, self.model.poll_iter, first.hw))
     }
 
     /// One poll round at `t`: drain up to `burst` visible packets.
     fn service(&mut self, t: SimTime) {
-        self.apply_refills(t);
+        self.rx.apply_refills(t);
         let base = self.next_poll.max(self.cpu_free);
         if t > base {
             let gap = t.saturating_sub(base).as_ns();
@@ -438,21 +354,18 @@ impl QueueSim {
         let mut served = 0u32;
         let mut now = start;
         while served < self.model.burst {
-            let Some(p) = self.pending.front() else { break };
-            if p.hw > start {
+            let Some(p) = self.rx.take_visible(start) else {
                 break;
-            }
-            let p = self.pending.pop_front().unwrap();
-            self.cq_ring.consume_into(1, &mut self.slot_scratch);
+            };
             let proc_done = now + self.model.rx_sw;
             let app_done = proc_done + self.model.app;
             now = app_done;
-            let mut sample = DriverStageSample::default();
+            let mut sample = StageSample::default();
             sample
-                .set(DriverStage::RxDma, diff_ns(p.hw, p.arr))
-                .set(DriverStage::Notify, diff_ns(aware, p.hw))
-                .set(DriverStage::RxSoftware, diff_ns(proc_done, aware))
-                .set(DriverStage::App, diff_ns(app_done, proc_done));
+                .set(DriverStage::RxDma, p.hw.ns_since(p.arr))
+                .set(DriverStage::Notify, aware.ns_since(p.hw))
+                .set(DriverStage::RxSoftware, proc_done.ns_since(aware))
+                .set(DriverStage::App, app_done.ns_since(proc_done));
             self.stages.record(&sample);
             self.counters.delivered += 1;
             self.counters.bytes_delivered += u64::from(p.size);
@@ -464,85 +377,36 @@ impl QueueSim {
         self.next_poll = now;
 
         // Buffers return only after their packets are processed.
-        self.consumed_since_refill += served;
-        let threshold = self.model.refill_batch.min(self.model.ring_size / 2).max(1);
-        if self.consumed_since_refill >= threshold {
-            let n = self.consumed_since_refill;
-            self.consumed_since_refill = 0;
-            self.deferred
-                .push_labeled(self.cpu_free, "queue-refill", Deferred::RefillPost { n });
+        if let Some(n) = self.rx.release(served, self.model.refill_batch) {
+            self.refills
+                .push_labeled(self.cpu_free, "queue-refill", Refill::Post { n });
         }
     }
 
     /// Issues one scheduled refill phase at its event time `at`; all
-    /// platform calls carry `want == at`.
-    fn issue(&mut self, at: SimTime, action: Deferred) {
-        match action {
-            Deferred::RefillPost { n } => {
+    /// platform calls carry `want == at`. The refill doorbell is a
+    /// tail write: the device learns of the batch when it lands.
+    fn issue(&mut self, at: SimTime, refill: Refill) {
+        match refill {
+            Refill::Post { n } => {
                 self.counters.refills += 1;
-                self.rx_ring.produce_into(n, &mut self.slot_scratch);
-                debug_assert_eq!(self.slot_scratch.len() as u32, n, "freelist accounting");
+                let first = self.rx.post_refill(n);
                 self.counters.doorbells += 1;
                 let fetch_at = self.platform.pio_write(at, 4);
-                self.rx_ring
-                    .dma_ranges_into(&self.slot_scratch, &mut self.range_scratch);
-                let ranges = self.range_scratch.clone();
-                self.deferred.push_labeled(
-                    fetch_at,
-                    "queue-refill",
-                    Deferred::RefillFetch { ranges, n },
-                );
+                self.refills
+                    .push_labeled(fetch_at, "queue-refill", Refill::Fetch { first, n });
             }
-            Deferred::RefillFetch { ranges, n } => {
-                let mut done = at;
-                for (off, len) in ranges {
-                    let r =
-                        self.platform
-                            .dma_read(at, &self.desc_buf, off, len, DmaPath::DmaEngine);
-                    done = done.max(r.done);
-                }
-                self.refill_events.push_back((done, n));
+            Refill::Fetch { first, n } => {
+                self.rx.fetch_refill(&mut self.platform, at, first, n);
             }
         }
     }
-
-    /// Credits refill batches whose descriptor fetch completed by
-    /// `now`.
-    fn apply_refills(&mut self, now: SimTime) {
-        let mut credited = 0u32;
-        self.refill_events.retain(|&(t, n)| {
-            if t <= now {
-                credited += n;
-                false
-            } else {
-                true
-            }
-        });
-        self.buffers_avail += credited;
-    }
-}
-
-/// First tick of a `step`-spaced grid anchored at `base` at or after
-/// `target`.
-fn poll_tick_at_or_after(base: SimTime, step: SimTime, target: SimTime) -> SimTime {
-    if base >= target {
-        return base;
-    }
-    let gap = target.saturating_sub(base).as_ps();
-    let step_ps = step.as_ps().max(1);
-    let k = gap.div_ceil(step_ps);
-    base.saturating_add(SimTime::from_ps(k.saturating_mul(step_ps)))
-}
-
-/// Non-negative difference in nanoseconds.
-fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
-    later.saturating_sub(earlier).as_ns_f64()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcie_telemetry::DRIVER_STAGES;
+    use pcie_telemetry::StageSet;
     use pciebench::BenchSetup;
 
     fn platform() -> Platform {
@@ -595,11 +459,11 @@ mod tests {
         let sim = QueueSim::new(0, ServiceModel::default(), platform());
         let r = sim.run(&paced(2_000, 300, 256));
         let grand = r.stages.grand_total_ns();
-        let per_stage: f64 = DRIVER_STAGES.iter().map(|&s| r.stages.total_ns(s)).sum();
+        let per_stage: f64 = DriverStage::ALL.iter().map(|&s| r.stages.total_ns(s)).sum();
         assert!((grand - per_stage).abs() < 1e-6 * grand.max(1.0));
         assert_eq!(r.stages.total_ns(DriverStage::TxPost), 0.0);
         assert_eq!(r.stages.total_ns(DriverStage::TxDma), 0.0);
-        assert_eq!(r.stages.packets(), 2_000);
+        assert_eq!(r.stages.count(), 2_000);
     }
 
     #[test]

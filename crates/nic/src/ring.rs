@@ -178,6 +178,19 @@ impl DescriptorRing {
             }
         }
     }
+
+    /// Byte ranges covering the `n` consecutive slots from `first`,
+    /// wrapping past the last slot: what
+    /// [`DescriptorRing::dma_ranges`] returns for those slots (one
+    /// range, or two where the span wraps), without a slot list. A
+    /// scheduled fetch can carry `(first, n)` instead of a `Vec`.
+    pub fn span_ranges(&self, first: u32, n: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let head = n.min(self.capacity - first);
+        [(first, head), (0, n - head)]
+            .into_iter()
+            .filter(|&(_, k)| k > 0)
+            .map(move |(slot, k)| (self.slot_offset(slot), k * self.entry_size))
+    }
 }
 
 #[cfg(test)]
@@ -260,6 +273,20 @@ mod tests {
         let slots = r.produce(3); // 7, 0, 1
         let ranges = r.dma_ranges(&slots);
         assert_eq!(ranges, vec![(7 * 16, 16), (0, 32)]);
+    }
+
+    #[test]
+    fn span_ranges_match_dma_ranges_of_the_produced_slots() {
+        let b = buf();
+        let mut r = DescriptorRing::new(&b, 256, 16, 8);
+        let mut rng = pcie_sim::SplitMix64::new(9);
+        for _ in 0..500 {
+            r.consume(rng.next_below(8) as u32);
+            let slots = r.produce(rng.next_below(8) as u32);
+            let first = slots.first().copied().unwrap_or(0);
+            let span: Vec<(u64, u32)> = r.span_ranges(first, slots.len() as u32).collect();
+            assert_eq!(span, r.dma_ranges(&slots));
+        }
     }
 
     #[test]

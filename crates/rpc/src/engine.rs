@@ -26,7 +26,7 @@ use pcie_model::config::LinkConfig;
 use pcie_nic::traffic::Workload;
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, RpcStageStats, Snapshot};
+use pcie_telemetry::{CounterGroup, RpcStage, Snapshot, StageStats};
 
 /// Stream-family salts for the engine's RNG consumers (see
 /// `SplitMix64::salted`); distinct from the fault, driver and flows
@@ -219,7 +219,7 @@ pub struct RpcRunReport {
     pub elapsed: SimTime,
     /// Whole-run stage attribution: per-queue accumulators merged in
     /// queue order, so stage means and quantiles are exact.
-    pub stages: RpcStageStats,
+    pub stages: StageStats<RpcStage>,
 }
 
 impl RpcRunReport {
@@ -365,7 +365,7 @@ impl RpcRunReport {
         for w in [
             self.window.as_ps(),
             self.elapsed.as_ps(),
-            self.stages.rpcs(),
+            self.stages.count(),
             e2e.count(),
             e2e.overflow(),
             e2e.total_ns().to_bits(),
@@ -400,7 +400,7 @@ impl RpcRunReport {
             .push("p99_ns", self.p99_ns() as u64)
             .push("p999_ns", self.p999_ns() as u64);
         snap.add_group(eng);
-        snap.add_group(self.stages.telemetry_group());
+        snap.add_group(self.stages.telemetry_group("rpc.stages"));
         let mut fab = CounterGroup::new("rpc.fabric");
         fab.push("uplink_up_bytes", self.uplink_up_bytes())
             .push(

@@ -21,12 +21,12 @@
 //!   the shared upstream link, is validated by the root complex with
 //!   the IOMMU TLB in the path, and descends again.
 //!
-//! The core abstraction is the staged [`DevicePipeline`]: a timing
-//! wheel of typed hop events that generalises the deferred-issuance
-//! scheduling `QueueSim`/`DriverSim` use (platform issue ports are
-//! FIFO timelines, so every platform call must be made at its event
-//! time, in event-time order). [`RpcQueueSim`] chains
-//! NIC → switch → accelerator → switch → NIC hops over it, and
+//! [`RpcQueueSim`] chains NIC → switch → accelerator → switch → NIC
+//! hops as typed events on a timing wheel, issued with the same
+//! deferred-issuance loop as `DriverSim` and `QueueSim`
+//! ([`EventQueue::pop_before`](pcie_sim::EventQueue::pop_before):
+//! platform issue ports are FIFO timelines, so every platform call is
+//! made at its event time, in event-time order), and
 //! [`RpcEngine`] fans queues out over a `pcie-par` pool with the same
 //! determinism discipline as `pcie-flows`: schedule generation is
 //! sequential, every queue owns a private platform, reports merge in
@@ -43,10 +43,8 @@
 
 pub mod accel;
 pub mod engine;
-pub mod pipeline;
 pub mod queue;
 
 pub use accel::AccelModel;
 pub use engine::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
-pub use pipeline::DevicePipeline;
 pub use queue::{NicModel, QueuedRpc, RpcCounters, RpcQueueReport, RpcQueueSim};

@@ -12,9 +12,9 @@
 //! crossbar under host-bypass, or up the shared link, through the root
 //! complex (IOMMU in path) and back down under host-bounce.
 //!
-//! Every hop boundary is a timestamp, so the six
-//! [`RpcStage`](pcie_telemetry::RpcStage) durations telescope exactly
-//! to end-to-end latency — asserted at the end of every run.
+//! Every hop boundary is a timestamp, so the six [`RpcStage`]
+//! durations telescope exactly to end-to-end latency — asserted at
+//! the end of every run.
 //!
 //! Fabric writes stride their target BAR windows page by page
 //! ([`BAR_PAGE`] apart, [`WINDOW_PAGES`] pages per direction), so the
@@ -24,11 +24,10 @@
 //! translates, which is exactly the gap the benchmark measures.
 
 use crate::accel::AccelModel;
-use crate::pipeline::DevicePipeline;
 use pcie_device::MultiPlatform;
 use pcie_link::Direction;
-use pcie_sim::{SimTime, Timeline};
-use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, RpcStageSample, RpcStageStats};
+use pcie_sim::{EventQueue, SimTime, Timeline};
+use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, StageSample, StageStats};
 use pcie_topo::PortCounters;
 
 /// Switch port of the NIC device.
@@ -161,7 +160,7 @@ pub struct RpcQueueReport {
     /// Event counters.
     pub counters: RpcCounters,
     /// Per-stage latency attribution for completed RPCs.
-    pub stages: RpcStageStats,
+    pub stages: StageStats<RpcStage>,
     /// Virtual time from first arrival to last response on the wire.
     pub elapsed: SimTime,
     /// High-water mark of in-flight RPCs (ring occupancy).
@@ -242,11 +241,11 @@ pub struct RpcQueueSim {
     egress: Timeline,
     core_free: Vec<SimTime>,
     service: SimTime,
-    pipeline: DevicePipeline<Hop>,
+    hops: EventQueue<Hop>,
     inflight: u32,
     inflight_peak: u32,
     counters: RpcCounters,
-    stages: RpcStageStats,
+    stages: StageStats<RpcStage>,
     done_max: SimTime,
     req_seq: u64,
     resp_seq: u64,
@@ -276,11 +275,11 @@ impl RpcQueueSim {
             egress: Timeline::new(),
             core_free: vec![SimTime::ZERO; accel.cores as usize],
             service: accel.service,
-            pipeline: DevicePipeline::new(),
+            hops: EventQueue::new(),
             inflight: 0,
             inflight_peak: 0,
             counters: RpcCounters::default(),
-            stages: RpcStageStats::new(),
+            stages: StageStats::new(),
             done_max: SimTime::ZERO,
             req_seq: 0,
             resp_seq: 0,
@@ -300,10 +299,10 @@ impl RpcQueueSim {
             assert!(r.at >= last, "arrivals must be time-ordered");
             last = r.at;
             self.drain(r.at);
-            if self.pipeline.is_empty() {
+            if self.hops.is_empty() {
                 // Quiescent gap: jump the wheel cursor instead of
                 // cascading across the idle stretch.
-                self.pipeline.fast_forward(r.at);
+                self.hops.fast_forward(r.at);
             }
             self.counters.offered += 1;
             self.counters.req_bytes_offered += u64::from(r.req);
@@ -353,7 +352,7 @@ impl RpcQueueSim {
     /// order (hops scheduled by earlier rounds win ties with new
     /// arrivals, as in the driver simulations).
     fn drain(&mut self, until: SimTime) {
-        while let Some((at, hop)) = self.pipeline.next_before(until) {
+        while let Some((at, hop)) = self.hops.pop_before(until) {
             self.issue(at, hop);
         }
     }
@@ -372,8 +371,8 @@ impl RpcQueueSim {
             req,
             resp,
         };
-        self.pipeline
-            .schedule(t2, "rpc-fabric-req", Hop::FabricReq(rpc));
+        self.hops
+            .push_labeled(t2, "rpc-fabric-req", Hop::FabricReq(rpc));
     }
 
     /// Issues one hop at its event time `at`; all platform calls carry
@@ -387,8 +386,8 @@ impl RpcQueueSim {
                     .platform
                     .p2p_write(NIC_PORT, ACCEL_PORT, at, off, rpc.req);
                 rpc.t3 = res.absorbed;
-                self.pipeline
-                    .schedule(rpc.t3, "rpc-accel-start", Hop::AccelStart(rpc));
+                self.hops
+                    .push_labeled(rpc.t3, "rpc-accel-start", Hop::AccelStart(rpc));
             }
             Hop::AccelStart(mut rpc) => {
                 // Earliest-free core, lowest index on ties —
@@ -403,8 +402,8 @@ impl RpcQueueSim {
                 let done = start + self.service;
                 self.core_free[core] = done;
                 rpc.t4 = done;
-                self.pipeline
-                    .schedule(rpc.t4, "rpc-fabric-resp", Hop::FabricResp(rpc));
+                self.hops
+                    .push_labeled(rpc.t4, "rpc-fabric-resp", Hop::FabricResp(rpc));
             }
             Hop::FabricResp(rpc) => {
                 let off = (self.resp_seq % WINDOW_PAGES) * BAR_PAGE;
@@ -412,21 +411,21 @@ impl RpcQueueSim {
                 let res = self
                     .platform
                     .p2p_write(ACCEL_PORT, NIC_PORT, at, off, rpc.resp);
-                self.pipeline
-                    .schedule(res.absorbed, "rpc-egress", Hop::Egress(rpc));
+                self.hops
+                    .push_labeled(res.absorbed, "rpc-egress", Hop::Egress(rpc));
             }
             Hop::Egress(rpc) => {
                 let t5 = at;
                 let t6 = self.egress.reserve(t5, self.nic.wire_time(rpc.resp)).end
                     + self.nic.egress_base;
-                let mut sample = RpcStageSample::default();
+                let mut sample = StageSample::default();
                 sample
-                    .set(RpcStage::IngressDma, diff_ns(rpc.t1, rpc.t0))
-                    .set(RpcStage::Steer, diff_ns(rpc.t2, rpc.t1))
-                    .set(RpcStage::FabricReq, diff_ns(rpc.t3, rpc.t2))
-                    .set(RpcStage::AccelService, diff_ns(rpc.t4, rpc.t3))
-                    .set(RpcStage::FabricResp, diff_ns(t5, rpc.t4))
-                    .set(RpcStage::EgressDma, diff_ns(t6, t5));
+                    .set(RpcStage::IngressDma, rpc.t1.ns_since(rpc.t0))
+                    .set(RpcStage::Steer, rpc.t2.ns_since(rpc.t1))
+                    .set(RpcStage::FabricReq, rpc.t3.ns_since(rpc.t2))
+                    .set(RpcStage::AccelService, rpc.t4.ns_since(rpc.t3))
+                    .set(RpcStage::FabricResp, t5.ns_since(rpc.t4))
+                    .set(RpcStage::EgressDma, t6.ns_since(t5));
                 self.stages.record(&sample);
                 self.counters.completed += 1;
                 self.counters.req_bytes_completed += u64::from(rpc.req);
@@ -439,16 +438,11 @@ impl RpcQueueSim {
     }
 }
 
-/// Non-negative difference in nanoseconds.
-fn diff_ns(later: SimTime, earlier: SimTime) -> f64 {
-    later.saturating_sub(earlier).as_ns_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Datapath, RpcEngineConfig};
-    use pcie_telemetry::RPC_STAGES;
+    use pcie_telemetry::StageSet;
 
     fn sim(datapath: Datapath) -> RpcQueueSim {
         let mut cfg = RpcEngineConfig::default();
@@ -501,12 +495,12 @@ mod tests {
     fn stage_sums_telescope() {
         let r = sim(Datapath::HostBounce).run(&paced(2_000, 300, 256, 128));
         let grand = r.stages.grand_total_ns();
-        let per_stage: f64 = RPC_STAGES.iter().map(|&s| r.stages.total_ns(s)).sum();
+        let per_stage: f64 = RpcStage::ALL.iter().map(|&s| r.stages.total_ns(s)).sum();
         assert!((grand - per_stage).abs() < 1e-6 * grand.max(1.0));
         assert!((grand - r.stages.end_to_end().total_ns()).abs() < 1e-6 * grand.max(1.0));
-        assert_eq!(r.stages.rpcs(), 2_000);
+        assert_eq!(r.stages.count(), 2_000);
         // Every stage contributes on the bounce path.
-        for s in RPC_STAGES {
+        for &s in RpcStage::ALL {
             assert!(r.stages.total_ns(s) > 0.0, "stage {} empty", s.name());
         }
     }

@@ -234,6 +234,32 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Pops the earliest event if it is due at or before `until`;
+    /// `None` once every event ≤ `until` has been popped. Ties pop in
+    /// insertion order.
+    ///
+    /// This is the loop of *deferred issuance*, which every serving
+    /// engine uses. A device's issue ports and wire timelines are FIFO
+    /// [`Timeline`](crate::Timeline)s, so a transaction issued out of
+    /// call order at a future time pushes every later-issued,
+    /// earlier-wanted transaction behind it, which under load
+    /// compounds into unbounded artificial queueing. An engine
+    /// therefore *schedules* each follow-on phase when it decides on
+    /// it and *issues* it here, in event-time order, with every
+    /// platform call carrying the event's own time:
+    ///
+    /// ```text
+    /// while let Some((at, phase)) = queue.pop_before(until) {
+    ///     // issue the phase's platform calls with want == at
+    /// }
+    /// ```
+    pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, T)> {
+        if self.peek_time()? > until {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
@@ -360,6 +386,24 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
         q.clear();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_before_stops_at_until() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ns(30), 3);
+        q.push(SimTime::from_ns(10), 1);
+        q.push(SimTime::from_ns(20), 2);
+        q.push(SimTime::from_ns(20), 4);
+        let mut seen = Vec::new();
+        while let Some((at, v)) = q.pop_before(SimTime::from_ns(20)) {
+            seen.push((at.as_ns(), v));
+        }
+        assert_eq!(seen, [(10, 1), (20, 2), (20, 4)], "inclusive, FIFO ties");
+        assert!(q.pop_before(SimTime::from_ns(29)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(SimTime::MAX), Some((SimTime::from_ns(30), 3)));
+        assert!(q.pop_before(SimTime::MAX).is_none());
     }
 
     #[test]

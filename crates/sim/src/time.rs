@@ -116,6 +116,13 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
+    /// Nanoseconds from `earlier` to `self`, clamped at zero: one
+    /// stage's duration between two telescoping stage boundaries.
+    #[inline]
+    pub fn ns_since(self, earlier: SimTime) -> f64 {
+        self.saturating_sub(earlier).as_ns_f64()
+    }
+
     /// The later of two times.
     #[inline]
     pub fn max(self, rhs: SimTime) -> SimTime {

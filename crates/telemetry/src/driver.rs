@@ -12,8 +12,7 @@
 //! device). The `rx_dma` and `tx_dma` stages are themselves composed
 //! of the lower-level DMA stages — the two breakdowns nest.
 
-use crate::counters::CounterGroup;
-use crate::hist::LatencyHistogram;
+use crate::stages::StageSet;
 
 /// One stage of the per-packet driver path, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,245 +43,32 @@ pub enum DriverStage {
     TxDma,
 }
 
-/// All driver stages in pipeline order.
-pub const DRIVER_STAGES: [DriverStage; 6] = [
-    DriverStage::RxDma,
-    DriverStage::Notify,
-    DriverStage::RxSoftware,
-    DriverStage::App,
-    DriverStage::TxPost,
-    DriverStage::TxDma,
-];
+impl StageSet for DriverStage {
+    type Ns = [f64; 6];
+    const ALL: &'static [DriverStage] = &[
+        DriverStage::RxDma,
+        DriverStage::Notify,
+        DriverStage::RxSoftware,
+        DriverStage::App,
+        DriverStage::TxPost,
+        DriverStage::TxDma,
+    ];
+    const TOTAL_KEYS: &'static [&'static str] = &[
+        "rx_dma_total_ns",
+        "notify_total_ns",
+        "rx_sw_total_ns",
+        "app_total_ns",
+        "tx_post_total_ns",
+        "tx_dma_total_ns",
+    ];
+    const UNIT: &'static str = "packets";
+    /// Driver-path latencies reach hundreds of microseconds under
+    /// heavy interrupt coalescing, far past the DMA-stage band: 50 ns
+    /// × 4000 buckets = 200 µs.
+    const BUCKET_WIDTH_NS: u64 = 50;
+    const N_BUCKETS: usize = 4000;
 
-impl DriverStage {
-    /// Stable snake_case name used in counter export.
-    pub fn name(self) -> &'static str {
-        match self {
-            DriverStage::RxDma => "rx_dma",
-            DriverStage::Notify => "notify",
-            DriverStage::RxSoftware => "rx_sw",
-            DriverStage::App => "app",
-            DriverStage::TxPost => "tx_post",
-            DriverStage::TxDma => "tx_dma",
-        }
-    }
-
-    /// Index of this stage in [`DRIVER_STAGES`].
-    pub fn index(self) -> usize {
-        match self {
-            DriverStage::RxDma => 0,
-            DriverStage::Notify => 1,
-            DriverStage::RxSoftware => 2,
-            DriverStage::App => 3,
-            DriverStage::TxPost => 4,
-            DriverStage::TxDma => 5,
-        }
-    }
-}
-
-/// Per-stage durations (ns) for one packet's trip through the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DriverStageSample {
-    /// Duration of each stage, indexed per [`DriverStage::index`].
-    pub ns: [f64; 6],
-}
-
-impl DriverStageSample {
-    /// Sets one stage's duration; chainable.
-    pub fn set(&mut self, stage: DriverStage, ns: f64) -> &mut Self {
-        self.ns[stage.index()] = ns.max(0.0);
-        self
-    }
-
-    /// Duration of one stage.
-    pub fn get(&self, stage: DriverStage) -> f64 {
-        self.ns[stage.index()]
-    }
-
-    /// Sum over all stages — by construction the end-to-end latency.
-    pub fn total_ns(&self) -> f64 {
-        self.ns.iter().sum()
-    }
-}
-
-/// Driver-path latencies reach hundreds of microseconds under heavy
-/// interrupt coalescing, far past the DMA-stage band: 50 ns buckets ×
-/// 4000 buckets = 200 µs range with overflow saturation beyond.
-const BUCKET_WIDTH_NS: u64 = 50;
-const N_BUCKETS: usize = 4000;
-
-/// Accumulated driver-stage attribution across many packets.
-#[derive(Debug, Clone)]
-pub struct DriverStageStats {
-    totals_ns: [f64; 6],
-    per_stage: Vec<LatencyHistogram>,
-    end_to_end: LatencyHistogram,
-    packets: u64,
-}
-
-impl Default for DriverStageStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DriverStageStats {
-    /// Creates an empty accumulator (50 ns × 4000 bucket geometry).
-    pub fn new() -> Self {
-        DriverStageStats {
-            totals_ns: [0.0; 6],
-            per_stage: (0..6)
-                .map(|_| LatencyHistogram::new(BUCKET_WIDTH_NS, N_BUCKETS))
-                .collect(),
-            end_to_end: LatencyHistogram::new(BUCKET_WIDTH_NS, N_BUCKETS),
-            packets: 0,
-        }
-    }
-
-    /// Records one packet's stage breakdown.
-    pub fn record(&mut self, sample: &DriverStageSample) {
-        for stage in DRIVER_STAGES {
-            let v = sample.get(stage);
-            self.totals_ns[stage.index()] += v;
-            self.per_stage[stage.index()].record_ns(v);
-        }
-        self.end_to_end.record_ns(sample.total_ns());
-        self.packets += 1;
-    }
-
-    /// Number of packets recorded.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Accumulated nanoseconds in one stage.
-    pub fn total_ns(&self, stage: DriverStage) -> f64 {
-        self.totals_ns[stage.index()]
-    }
-
-    /// Mean contribution of one stage per packet, ns.
-    pub fn mean_ns(&self, stage: DriverStage) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.totals_ns[stage.index()] / self.packets as f64
-        }
-    }
-
-    /// Sum of all per-stage totals — equals the end-to-end total
-    /// within floating-point rounding.
-    pub fn grand_total_ns(&self) -> f64 {
-        self.totals_ns.iter().sum()
-    }
-
-    /// The per-stage histogram.
-    pub fn histogram(&self, stage: DriverStage) -> &LatencyHistogram {
-        &self.per_stage[stage.index()]
-    }
-
-    /// The end-to-end (MAC arrival → response fetched) histogram.
-    pub fn end_to_end(&self) -> &LatencyHistogram {
-        &self.end_to_end
-    }
-
-    /// The stage totals as a `driver.stages` counter group
-    /// (`<stage>_total_ns` per stage, plus `packets`), so driver
-    /// snapshots carry the breakdown alongside the pattern counters.
-    pub fn telemetry_group(&self) -> CounterGroup {
-        let mut g = CounterGroup::new("driver.stages");
-        g.push("packets", self.packets);
-        for stage in DRIVER_STAGES {
-            // Stage names are 'static; map to the exported literal.
-            let key: &'static str = match stage {
-                DriverStage::RxDma => "rx_dma_total_ns",
-                DriverStage::Notify => "notify_total_ns",
-                DriverStage::RxSoftware => "rx_sw_total_ns",
-                DriverStage::App => "app_total_ns",
-                DriverStage::TxPost => "tx_post_total_ns",
-                DriverStage::TxDma => "tx_dma_total_ns",
-            };
-            g.push(key, self.total_ns(stage) as u64);
-        }
-        g.push("end_to_end_total_ns", self.end_to_end.total_ns() as u64);
-        g
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sample_sum_is_total() {
-        let mut s = DriverStageSample::default();
-        s.set(DriverStage::RxDma, 500.0)
-            .set(DriverStage::Notify, 4_000.0)
-            .set(DriverStage::RxSoftware, 450.0)
-            .set(DriverStage::App, 100.0)
-            .set(DriverStage::TxPost, 300.0)
-            .set(DriverStage::TxDma, 600.0);
-        assert!((s.total_ns() - 5_950.0).abs() < 1e-9);
-        assert_eq!(s.get(DriverStage::Notify), 4_000.0);
-    }
-
-    #[test]
-    fn stats_accumulate_and_reconcile() {
-        let mut stats = DriverStageStats::new();
-        for i in 0..100 {
-            let mut s = DriverStageSample::default();
-            s.set(DriverStage::RxDma, 480.0 + i as f64)
-                .set(DriverStage::Notify, 50.0)
-                .set(DriverStage::RxSoftware, 35.0)
-                .set(DriverStage::TxPost, 120.0)
-                .set(DriverStage::TxDma, 610.0);
-            stats.record(&s);
-        }
-        assert_eq!(stats.packets(), 100);
-        assert_eq!(stats.end_to_end().count(), 100);
-        let e2e = stats.end_to_end().total_ns();
-        assert!(
-            (stats.grand_total_ns() - e2e).abs() < 1e-6,
-            "stage totals {} vs end-to-end {}",
-            stats.grand_total_ns(),
-            e2e
-        );
-        assert!((stats.mean_ns(DriverStage::RxSoftware) - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stage_names_and_indices_stable() {
-        let names: Vec<&str> = DRIVER_STAGES.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            ["rx_dma", "notify", "rx_sw", "app", "tx_post", "tx_dma"]
-        );
-        for (i, s) in DRIVER_STAGES.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
-    }
-
-    #[test]
-    fn telemetry_group_exports_totals() {
-        let mut stats = DriverStageStats::new();
-        let mut s = DriverStageSample::default();
-        s.set(DriverStage::RxDma, 1000.0)
-            .set(DriverStage::TxDma, 2000.0);
-        stats.record(&s);
-        let g = stats.telemetry_group();
-        assert_eq!(g.component, "driver.stages");
-        assert_eq!(g.get("packets"), Some(1));
-        assert_eq!(g.get("rx_dma_total_ns"), Some(1000));
-        assert_eq!(g.get("tx_dma_total_ns"), Some(2000));
-        assert_eq!(g.get("end_to_end_total_ns"), Some(3000));
-    }
-
-    #[test]
-    fn long_tail_lands_in_histogram_not_overflow() {
-        let mut stats = DriverStageStats::new();
-        let mut s = DriverStageSample::default();
-        s.set(DriverStage::Notify, 150_000.0); // 150 µs coalescing wait
-        stats.record(&s);
-        assert_eq!(stats.histogram(DriverStage::Notify).overflow(), 0);
-        assert_eq!(stats.end_to_end().overflow(), 0);
+    fn index(self) -> usize {
+        self as usize
     }
 }

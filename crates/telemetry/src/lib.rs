@@ -13,23 +13,24 @@
 //! * [`LatencyHistogram`] — fixed-width-bucket latency histograms with
 //!   a saturating overflow bucket, cheap enough to update per
 //!   transaction;
-//! * [`Stage`] / [`StageStats`] — the per-DMA critical-path breakdown
-//!   (`issue → tag-alloc → request-wire → host → completion-wire →
-//!   device-completion`) whose stage contributions sum exactly to the
-//!   end-to-end latency, the simulator's answer to "*where* did the
-//!   400 ns go?" (paper §5–6, Figure 6 discussion);
-//! * [`DriverStage`] / [`DriverStageStats`] — the per-packet driver
-//!   pipeline above the DMA one (`rx_dma → notify → rx_sw → app →
-//!   tx_post → tx_dma`), used by the `pcie-drivers` interaction
-//!   patterns; the six stage contributions likewise sum exactly to the
-//!   packet's end-to-end latency, and its `rx_dma`/`tx_dma` stages
-//!   nest the DMA-level breakdown;
-//! * [`RpcStage`] / [`RpcStageStats`] — the per-RPC fabric pipeline
-//!   used by `pcie-rpc` (`ingress_dma → steer → fabric_req →
-//!   accel_service → fabric_resp → egress_dma`), spanning two devices
-//!   and the switch between them; the stage contributions again sum
-//!   exactly to the end-to-end latency, and mergeable accumulators let
-//!   per-queue workers aggregate into exact whole-run quantiles;
+//! * [`StageStats`] — one telescoping stage accumulator for every
+//!   pipeline the simulator attributes, parameterised by a
+//!   [`StageSet`]: per-stage totals and histograms, an end-to-end
+//!   histogram, a count, a merge for per-queue accumulators and a
+//!   counter-group export. The stage contributions of every
+//!   transaction sum exactly to its end-to-end latency. Three sets:
+//!   * [`Stage`] — the per-DMA critical path (`issue → tag-alloc →
+//!     request-wire → host → completion-wire → replay →
+//!     device-completion`), the simulator's answer to "*where* did the
+//!     400 ns go?" (paper §5–6, Figure 6 discussion);
+//!   * [`DriverStage`] — the per-packet driver pipeline above it
+//!     (`rx_dma → notify → rx_sw → app → tx_post → tx_dma`), used by
+//!     the `pcie-drivers` interaction patterns and `pcie-flows`; its
+//!     `rx_dma`/`tx_dma` stages nest the DMA-level breakdown;
+//!   * [`RpcStage`] — the per-RPC fabric pipeline of `pcie-rpc`
+//!     (`ingress_dma → steer → fabric_req → accel_service →
+//!     fabric_resp → egress_dma`), spanning two devices and the switch
+//!     between them;
 //! * JSON and CSV export ([`Snapshot::to_json`], [`Snapshot::to_csv`])
 //!   with zero external dependencies, consumed by `repro_report`,
 //!   `pciebench_cli` and the figure binaries.
@@ -37,7 +38,7 @@
 //! ## Zero-cost-when-disabled contract
 //!
 //! Telemetry never sits on a hot path unconditionally. Layers hold an
-//! `Option<StageStats>`-style handle that is `None` unless explicitly
+//! `Option<StageStats<Stage>>`-style handle that is `None` unless explicitly
 //! enabled (`BenchSetup::with_telemetry`, `Platform::enable_telemetry`):
 //! disabled, the only cost is an untaken branch per DMA; the aggregate
 //! counters that were already maintained before this crate existed
@@ -68,8 +69,8 @@ pub mod snapshot;
 pub mod stages;
 
 pub use counters::CounterGroup;
-pub use driver::{DriverStage, DriverStageSample, DriverStageStats, DRIVER_STAGES};
+pub use driver::DriverStage;
 pub use hist::LatencyHistogram;
-pub use rpc::{RpcStage, RpcStageSample, RpcStageStats, RPC_STAGES};
+pub use rpc::RpcStage;
 pub use snapshot::{Snapshot, StageReport};
-pub use stages::{Stage, StageSample, StageStats};
+pub use stages::{Stage, StageSample, StageSet, StageStats};

@@ -13,8 +13,7 @@
 //! TLB misses, so the bypass-vs-bounce gap is directly readable from
 //! the stage means.
 
-use crate::counters::CounterGroup;
-use crate::hist::LatencyHistogram;
+use crate::stages::StageSet;
 
 /// One stage of the per-RPC fabric pipeline, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,291 +41,33 @@ pub enum RpcStage {
     EgressDma,
 }
 
-/// All RPC stages in pipeline order.
-pub const RPC_STAGES: [RpcStage; 6] = [
-    RpcStage::IngressDma,
-    RpcStage::Steer,
-    RpcStage::FabricReq,
-    RpcStage::AccelService,
-    RpcStage::FabricResp,
-    RpcStage::EgressDma,
-];
+impl StageSet for RpcStage {
+    type Ns = [f64; 6];
+    const ALL: &'static [RpcStage] = &[
+        RpcStage::IngressDma,
+        RpcStage::Steer,
+        RpcStage::FabricReq,
+        RpcStage::AccelService,
+        RpcStage::FabricResp,
+        RpcStage::EgressDma,
+    ];
+    const TOTAL_KEYS: &'static [&'static str] = &[
+        "ingress_dma_total_ns",
+        "steer_total_ns",
+        "fabric_req_total_ns",
+        "accel_service_total_ns",
+        "fabric_resp_total_ns",
+        "egress_dma_total_ns",
+    ];
+    const UNIT: &'static str = "rpcs";
+    /// RPC latencies stretch into tens of microseconds once a deep
+    /// ring queues behind a saturated fabric or IOMMU walker: the
+    /// driver-path geometry (50 ns × 4000 buckets = 200 µs) covers
+    /// the band.
+    const BUCKET_WIDTH_NS: u64 = 50;
+    const N_BUCKETS: usize = 4000;
 
-impl RpcStage {
-    /// Stable snake_case name used in counter export.
-    pub fn name(self) -> &'static str {
-        match self {
-            RpcStage::IngressDma => "ingress_dma",
-            RpcStage::Steer => "steer",
-            RpcStage::FabricReq => "fabric_req",
-            RpcStage::AccelService => "accel_service",
-            RpcStage::FabricResp => "fabric_resp",
-            RpcStage::EgressDma => "egress_dma",
-        }
-    }
-
-    /// Index of this stage in [`RPC_STAGES`].
-    pub fn index(self) -> usize {
-        match self {
-            RpcStage::IngressDma => 0,
-            RpcStage::Steer => 1,
-            RpcStage::FabricReq => 2,
-            RpcStage::AccelService => 3,
-            RpcStage::FabricResp => 4,
-            RpcStage::EgressDma => 5,
-        }
-    }
-}
-
-/// Per-stage durations (ns) for one RPC's trip through the fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RpcStageSample {
-    /// Duration of each stage, indexed per [`RpcStage::index`].
-    pub ns: [f64; 6],
-}
-
-impl RpcStageSample {
-    /// Sets one stage's duration; chainable.
-    pub fn set(&mut self, stage: RpcStage, ns: f64) -> &mut Self {
-        self.ns[stage.index()] = ns.max(0.0);
-        self
-    }
-
-    /// Duration of one stage.
-    pub fn get(&self, stage: RpcStage) -> f64 {
-        self.ns[stage.index()]
-    }
-
-    /// Sum over all stages — by construction the end-to-end latency.
-    pub fn total_ns(&self) -> f64 {
-        self.ns.iter().sum()
-    }
-}
-
-/// RPC latencies stretch into tens of microseconds once a deep ring
-/// queues behind a saturated fabric or IOMMU walker: the driver-path
-/// geometry (50 ns × 4000 buckets = 200 µs) covers the band with the
-/// overflow bucket saturating beyond.
-const BUCKET_WIDTH_NS: u64 = 50;
-const N_BUCKETS: usize = 4000;
-
-/// Accumulated RPC-stage attribution across many requests.
-#[derive(Debug, Clone)]
-pub struct RpcStageStats {
-    totals_ns: [f64; 6],
-    per_stage: Vec<LatencyHistogram>,
-    end_to_end: LatencyHistogram,
-    rpcs: u64,
-}
-
-impl Default for RpcStageStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RpcStageStats {
-    /// Creates an empty accumulator (50 ns × 4000 bucket geometry).
-    pub fn new() -> Self {
-        RpcStageStats {
-            totals_ns: [0.0; 6],
-            per_stage: (0..6)
-                .map(|_| LatencyHistogram::new(BUCKET_WIDTH_NS, N_BUCKETS))
-                .collect(),
-            end_to_end: LatencyHistogram::new(BUCKET_WIDTH_NS, N_BUCKETS),
-            rpcs: 0,
-        }
-    }
-
-    /// Records one RPC's stage breakdown.
-    pub fn record(&mut self, sample: &RpcStageSample) {
-        for stage in RPC_STAGES {
-            let v = sample.get(stage);
-            self.totals_ns[stage.index()] += v;
-            self.per_stage[stage.index()].record_ns(v);
-        }
-        self.end_to_end.record_ns(sample.total_ns());
-        self.rpcs += 1;
-    }
-
-    /// Number of RPCs recorded.
-    pub fn rpcs(&self) -> u64 {
-        self.rpcs
-    }
-
-    /// Accumulated nanoseconds in one stage.
-    pub fn total_ns(&self, stage: RpcStage) -> f64 {
-        self.totals_ns[stage.index()]
-    }
-
-    /// Mean contribution of one stage per RPC, ns.
-    pub fn mean_ns(&self, stage: RpcStage) -> f64 {
-        if self.rpcs == 0 {
-            0.0
-        } else {
-            self.totals_ns[stage.index()] / self.rpcs as f64
-        }
-    }
-
-    /// Sum of all per-stage totals — equals the end-to-end total
-    /// within floating-point rounding.
-    pub fn grand_total_ns(&self) -> f64 {
-        self.totals_ns.iter().sum()
-    }
-
-    /// The per-stage histogram.
-    pub fn histogram(&self, stage: RpcStage) -> &LatencyHistogram {
-        &self.per_stage[stage.index()]
-    }
-
-    /// The end-to-end (wire arrival → response on the wire) histogram.
-    pub fn end_to_end(&self) -> &LatencyHistogram {
-        &self.end_to_end
-    }
-
-    /// Folds `other` into `self`, so per-queue accumulators recorded
-    /// independently (one per RSS queue, one per `pcie-par` worker)
-    /// aggregate into exact whole-run stage totals and quantiles.
-    pub fn merge(&mut self, other: &RpcStageStats) {
-        for i in 0..6 {
-            self.totals_ns[i] += other.totals_ns[i];
-            self.per_stage[i].merge(&other.per_stage[i]);
-        }
-        self.end_to_end.merge(&other.end_to_end);
-        self.rpcs += other.rpcs;
-    }
-
-    /// The stage totals as an `rpc.stages` counter group
-    /// (`<stage>_total_ns` per stage, plus `rpcs`), so RPC snapshots
-    /// carry the breakdown alongside the fabric counters.
-    pub fn telemetry_group(&self) -> CounterGroup {
-        let mut g = CounterGroup::new("rpc.stages");
-        g.push("rpcs", self.rpcs);
-        for stage in RPC_STAGES {
-            // Stage names are 'static; map to the exported literal.
-            let key: &'static str = match stage {
-                RpcStage::IngressDma => "ingress_dma_total_ns",
-                RpcStage::Steer => "steer_total_ns",
-                RpcStage::FabricReq => "fabric_req_total_ns",
-                RpcStage::AccelService => "accel_service_total_ns",
-                RpcStage::FabricResp => "fabric_resp_total_ns",
-                RpcStage::EgressDma => "egress_dma_total_ns",
-            };
-            g.push(key, self.total_ns(stage) as u64);
-        }
-        g.push("end_to_end_total_ns", self.end_to_end.total_ns() as u64);
-        g
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sample_sum_is_total() {
-        let mut s = RpcStageSample::default();
-        s.set(RpcStage::IngressDma, 40.0)
-            .set(RpcStage::Steer, 25.0)
-            .set(RpcStage::FabricReq, 600.0)
-            .set(RpcStage::AccelService, 750.0)
-            .set(RpcStage::FabricResp, 550.0)
-            .set(RpcStage::EgressDma, 35.0);
-        assert!((s.total_ns() - 2_000.0).abs() < 1e-9);
-        assert_eq!(s.get(RpcStage::AccelService), 750.0);
-    }
-
-    #[test]
-    fn stats_accumulate_and_reconcile() {
-        let mut stats = RpcStageStats::new();
-        for i in 0..100 {
-            let mut s = RpcStageSample::default();
-            s.set(RpcStage::IngressDma, 36.0)
-                .set(RpcStage::Steer, 25.0)
-                .set(RpcStage::FabricReq, 580.0 + i as f64)
-                .set(RpcStage::AccelService, 750.0)
-                .set(RpcStage::FabricResp, 540.0)
-                .set(RpcStage::EgressDma, 20.0);
-            stats.record(&s);
-        }
-        assert_eq!(stats.rpcs(), 100);
-        assert_eq!(stats.end_to_end().count(), 100);
-        let e2e = stats.end_to_end().total_ns();
-        assert!(
-            (stats.grand_total_ns() - e2e).abs() < 1e-6,
-            "stage totals {} vs end-to-end {}",
-            stats.grand_total_ns(),
-            e2e
-        );
-        assert!((stats.mean_ns(RpcStage::Steer) - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stage_names_and_indices_stable() {
-        let names: Vec<&str> = RPC_STAGES.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "ingress_dma",
-                "steer",
-                "fabric_req",
-                "accel_service",
-                "fabric_resp",
-                "egress_dma"
-            ]
-        );
-        for (i, s) in RPC_STAGES.iter().enumerate() {
-            assert_eq!(s.index(), i);
-        }
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = RpcStageStats::new();
-        let mut b = RpcStageStats::new();
-        let mut whole = RpcStageStats::new();
-        for i in 0..10 {
-            let mut s = RpcStageSample::default();
-            s.set(RpcStage::FabricReq, 500.0 + i as f64)
-                .set(RpcStage::AccelService, 700.0);
-            if i % 2 == 0 {
-                a.record(&s);
-            } else {
-                b.record(&s);
-            }
-            whole.record(&s);
-        }
-        a.merge(&b);
-        assert_eq!(a.rpcs(), whole.rpcs());
-        assert_eq!(a.end_to_end(), whole.end_to_end());
-        for stage in RPC_STAGES {
-            assert_eq!(a.histogram(stage), whole.histogram(stage));
-            assert!((a.total_ns(stage) - whole.total_ns(stage)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn telemetry_group_exports_totals() {
-        let mut stats = RpcStageStats::new();
-        let mut s = RpcStageSample::default();
-        s.set(RpcStage::FabricReq, 1000.0)
-            .set(RpcStage::FabricResp, 2000.0);
-        stats.record(&s);
-        let g = stats.telemetry_group();
-        assert_eq!(g.component, "rpc.stages");
-        assert_eq!(g.get("rpcs"), Some(1));
-        assert_eq!(g.get("fabric_req_total_ns"), Some(1000));
-        assert_eq!(g.get("fabric_resp_total_ns"), Some(2000));
-        assert_eq!(g.get("end_to_end_total_ns"), Some(3000));
-    }
-
-    #[test]
-    fn long_tail_lands_in_histogram_not_overflow() {
-        let mut stats = RpcStageStats::new();
-        let mut s = RpcStageSample::default();
-        s.set(RpcStage::FabricReq, 150_000.0); // 150 µs walker backlog
-        stats.record(&s);
-        assert_eq!(stats.histogram(RpcStage::FabricReq).overflow(), 0);
-        assert_eq!(stats.end_to_end().overflow(), 0);
+    fn index(self) -> usize {
+        self as usize
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::counters::CounterGroup;
 use crate::json::JsonWriter;
-use crate::stages::{StageStats, STAGES};
+use crate::stages::{StageSet, StageStats};
 
 /// Per-stage summary embedded in a snapshot: one row per pipeline
 /// stage, plus the end-to-end aggregate.
@@ -32,8 +32,8 @@ pub struct StageReport {
 
 impl StageReport {
     /// Distils a report from accumulated [`StageStats`].
-    pub fn from_stats(stats: &StageStats) -> Self {
-        let rows = STAGES
+    pub fn from_stats<S: StageSet>(stats: &StageStats<S>) -> Self {
+        let rows = S::ALL
             .iter()
             .map(|&s| {
                 (
@@ -46,7 +46,7 @@ impl StageReport {
             .collect();
         StageReport {
             rows,
-            transactions: stats.transactions(),
+            transactions: stats.count(),
             end_to_end_mean_ns: stats.end_to_end().mean_ns(),
             end_to_end_total_ns: stats.end_to_end().total_ns(),
             end_to_end_buckets: stats.end_to_end().nonzero(),

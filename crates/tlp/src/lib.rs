@@ -25,14 +25,12 @@
 #![warn(missing_docs)]
 
 pub mod dllp;
-pub mod intern;
 pub mod packet;
 pub mod plan;
 pub mod sizes;
 pub mod split;
 pub mod types;
 
-pub use intern::TemplateInterner;
 pub use packet::{Packet, TlpRepr};
 pub use plan::PlanCache;
 pub use sizes::{TlpOverheads, WireCost};

@@ -180,11 +180,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         self.buffer.as_ref()[11] & 0x7f
     }
 
-    /// Raw buffer bytes (template capture in [`crate::intern`]).
-    pub(crate) fn buffer_bytes(&self) -> &[u8] {
-        self.buffer.as_ref()
-    }
-
     /// The payload bytes (for TLPs with data).
     pub fn payload(&self) -> &[u8] {
         let ty = self.tlp_type().expect("unknown type");
@@ -198,11 +193,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
-    /// Raw mutable buffer bytes (template patching in [`crate::intern`]).
-    pub(crate) fn buffer_bytes_mut(&mut self) -> &mut [u8] {
-        self.buffer.as_mut()
-    }
-
     fn set_dw0(&mut self, ty: TlpType, tc: u8, len_dw: u16, digest: bool) {
         let d = self.buffer.as_mut();
         d[0] = (ty.fmt_field() << 5) | ty.type_field();

@@ -54,14 +54,6 @@ pub fn single_completion_chunk(addr: u64, len: u32, mps: u32, rcb: u32) -> bool 
     len as u64 <= cap
 }
 
-/// Number of MRRS-quantised request chunks a read of `len` bytes at
-/// `addr` splits into (closed form of `read_request_chunks(..).count()`).
-#[inline]
-pub fn quantized_chunk_count(addr: u64, len: u32, quantum: u32) -> usize {
-    debug_assert!(len > 0 && quantum.is_power_of_two());
-    ((addr & (quantum as u64 - 1)) + len as u64).div_ceil(quantum as u64) as usize
-}
-
 /// Cached plans kept per cache (geometries live in a sweep at once:
 /// a couple of transfer sizes × cold/warm offsets).
 const PLAN_CACHE_CAP: usize = 8;
@@ -181,11 +173,6 @@ mod tests {
             assert_eq!(
                 single_quantized_chunk(addr, len, q),
                 chunks.len() == 1,
-                "addr={addr:#x} len={len} q={q}"
-            );
-            assert_eq!(
-                quantized_chunk_count(addr, len, q),
-                chunks.len(),
                 "addr={addr:#x} len={len} q={q}"
             );
             let (mps, rcb) = (q.max(64), 64u32.min(q));

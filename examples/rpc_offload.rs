@@ -13,7 +13,7 @@
 
 use pcie_bench_repro::par::Pool;
 use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile};
-use pcie_telemetry::RPC_STAGES;
+use pcie_telemetry::{RpcStage, StageSet};
 
 fn main() {
     let cfg = RpcEngineConfig::default(); // 4 queues, 8x400ns accel
@@ -44,7 +44,7 @@ fn main() {
             report.p99_ns(),
             report.p999_ns(),
         );
-        for &stage in &RPC_STAGES {
+        for &stage in RpcStage::ALL {
             println!(
                 "         {:>13}: {:>7.0} ns mean",
                 stage.name(),

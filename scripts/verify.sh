@@ -1,6 +1,7 @@
 #!/bin/sh
-# Offline verification: build, test, docs, lint. Must pass with zero
-# network access — the workspace has no external dependencies.
+# Offline verification: build, test, docs, lint, benchmark digests. Must
+# pass with zero network access — the workspace has no external
+# dependencies.
 #
 # Usage: scripts/verify.sh
 # Exits non-zero on the first failure. Clippy and rustfmt are skipped
@@ -31,6 +32,20 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy not installed; skipping lint"
 fi
+
+# The benchmark package: its own tests, then each workload once at
+# the default seed. Every run's digest must match the one recorded in
+# simbench/golden.tsv, so a change that moves any simulated output of
+# the four workloads fails here.
+echo "==> cargo test --manifest-path simbench/Cargo.toml"
+cargo test --offline --quiet --manifest-path simbench/Cargo.toml
+
+for w in dma_sweep driver_zoo flow_rx rpc_fabric; do
+    echo "==> simbench --workload $w --seconds 0 (digest must match simbench/golden.tsv)"
+    out=$(cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
+        --workload "$w" --seconds 0) || { printf '%s\n' "$out" >&2; exit 1; }
+    printf '%s\n' "$out" | grep '^# digest matches' || { printf '%s\n' "$out" >&2; exit 1; }
+done
 
 # Non-fatal perf datapoint: quick suite (sequential vs parallel) and
 # per-figure regeneration timings into BENCH_sim.json, so every PR

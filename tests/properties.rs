@@ -216,112 +216,6 @@ fn sequence_ordering_survives_wraparound() {
 }
 
 #[test]
-fn interned_tlp_serialisation_matches_from_scratch_emit() {
-    // The template interner serialises by patching a cached header;
-    // it must be byte-identical to `TlpRepr::emit` for every TLP the
-    // stack can produce. The sweep drives one shared interner (so
-    // templates are reused, evicted and re-primed across cases)
-    // through the TLPs a random transfer actually decomposes into
-    // under random MPS/MRRS/RCB geometries, plus config cycles.
-    use pcie_bench_repro::tlp::types::{CplStatus, DeviceId, Tag};
-    use pcie_bench_repro::tlp::{split, Packet, TemplateInterner, TlpRepr};
-
-    let mut rng = SplitMix64::new(0x0147_7E21);
-    let mut interner = TemplateInterner::new();
-    let check = |interner: &mut TemplateInterner, repr: &TlpRepr| {
-        let n = repr.buffer_len();
-        let mut direct = vec![0xa5u8; n];
-        repr.emit(&mut Packet::new_unchecked(&mut direct[..]))
-            .unwrap();
-        let mut interned = vec![0x5au8; n];
-        interner
-            .emit(repr, &mut Packet::new_unchecked(&mut interned[..]))
-            .unwrap();
-        assert_eq!(direct, interned, "{repr:?}");
-    };
-
-    for case in 0..CASES * 8 {
-        let mps = 128u32 << rng.range(0, 3); // 128..512
-        let mrrs = (mps << rng.range(0, 3)).min(4096); // mps..4096
-        let rcb = if rng.chance(0.5) { 64 } else { 128 };
-        let addr64 = rng.chance(0.5);
-        let page = if addr64 {
-            rng.next_u64() & 0xffff_ffff_f000
-        } else {
-            rng.next_u64() & 0x7fff_f000
-        };
-        let addr = page + rng.range(0, 256);
-        let len = rng.range(1, 4097) as u32;
-        let requester = DeviceId::new((case % 5) as u8, 0, 0);
-
-        for chunk in split::read_request_chunks(addr, len, mrrs) {
-            check(
-                &mut interner,
-                &TlpRepr::MemRead {
-                    requester,
-                    tag: Tag(rng.range(0, 256) as u16),
-                    addr: chunk.addr,
-                    len_bytes: chunk.len,
-                    addr64,
-                },
-            );
-            let mut remaining = chunk.len;
-            for cpl in split::completion_chunks(chunk.addr, chunk.len, mps, rcb) {
-                remaining -= cpl.len;
-                check(
-                    &mut interner,
-                    &TlpRepr::Completion {
-                        completer: DeviceId::new(0, 0, 0),
-                        requester,
-                        tag: Tag(rng.range(0, 256) as u16),
-                        status: CplStatus::Success,
-                        byte_count: (cpl.len + remaining) as u16,
-                        lower_addr: (cpl.addr & 0x7f) as u8,
-                        len_dw: cpl.len.div_ceil(4) as u16,
-                    },
-                );
-            }
-        }
-        for chunk in split::write_chunks(addr, len, mps) {
-            check(
-                &mut interner,
-                &TlpRepr::MemWrite {
-                    requester,
-                    addr: chunk.addr,
-                    len_bytes: chunk.len,
-                    addr64,
-                },
-            );
-        }
-        let register = rng.range(0, 0x400) as u16;
-        check(
-            &mut interner,
-            &TlpRepr::ConfigRead {
-                requester,
-                completer: DeviceId::new(1, 0, 0),
-                tag: Tag(rng.range(0, 256) as u16),
-                register,
-            },
-        );
-        check(
-            &mut interner,
-            &TlpRepr::ConfigWrite {
-                requester,
-                completer: DeviceId::new(1, 0, 0),
-                tag: Tag(rng.range(0, 256) as u16),
-                register,
-            },
-        );
-    }
-    let (hits, misses) = interner.stats();
-    assert!(hits > 0 && misses > 0, "sweep must hit and miss templates");
-    assert!(
-        hits > misses,
-        "templates should be replayed more than primed ({hits} hits, {misses} misses)"
-    );
-}
-
-#[test]
 fn fault_injection_never_improves_bandwidth() {
     // Replays only ever add wire time: for arbitrary geometries, a
     // faulty link can at best tie the fault-free run.

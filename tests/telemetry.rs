@@ -404,7 +404,7 @@ fn rpc_stage_sums_telescope_to_end_to_end() {
     // the exported group.
     use pcie_bench_repro::par::Pool;
     use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile};
-    use pcie_telemetry::RPC_STAGES;
+    use pcie_telemetry::{RpcStage, StageSet};
 
     for datapath in [Datapath::HostBypass, Datapath::HostBounce] {
         let cfg = RpcEngineConfig {
@@ -420,23 +420,63 @@ fn rpc_stage_sums_telescope_to_end_to_end() {
             "{}: stage sum {grand} must telescope to end-to-end {e2e}",
             datapath.name()
         );
-        assert_eq!(r.stages.rpcs(), r.completed());
+        assert_eq!(r.stages.count(), r.completed());
         assert_eq!(r.stages.end_to_end().count(), r.completed());
         // The exported group carries the same ledger.
         let snap = r.snapshot("telescoping");
         let g = snap.group("rpc.stages").expect("rpc.stages group");
-        let from_group: u64 = RPC_STAGES
+        let from_group: u64 = RpcStage::ALL
             .iter()
             .map(|s| g.get(&format!("{}_total_ns", s.name())).unwrap())
             .sum();
         // Each stage total is truncated to u64 on export, so the sum
         // may sit up to one count per stage below the float ledger.
         assert!(
-            (from_group as i64 - grand as i64).unsigned_abs() <= RPC_STAGES.len() as u64,
+            (from_group as i64 - grand as i64).unsigned_abs() <= RpcStage::ALL.len() as u64,
             "group stage sum {from_group} must track grand total {grand}"
         );
         assert_eq!(g.get("end_to_end_total_ns"), Some(e2e as u64));
     }
+}
+
+#[test]
+fn flow_stage_sums_telescope_to_end_to_end() {
+    // The exported flows.stages group merges every queue's driver-stage
+    // ledger: the stage totals sum to the end-to-end total (each is
+    // truncated to whole ns on export, so within one ns per stage),
+    // it counts exactly the delivered packets, and the RX-terminating
+    // queues record nothing in the TX stages.
+    use pcie_bench_repro::flows::{FlowEngine, FlowEngineConfig, TrafficProfile};
+    use pcie_bench_repro::par::Pool;
+    use pcie_telemetry::{DriverStage, StageSet};
+
+    let cfg = FlowEngineConfig {
+        queues: 3,
+        ..FlowEngineConfig::default()
+    };
+    // 1.3x the aggregate capacity: the drop path runs too.
+    let pps = 1.3 * cfg.service.capacity_pps() * f64::from(cfg.queues);
+    let mut profile = TrafficProfile::quick(pps);
+    profile.packets = 8_000;
+    let r = FlowEngine::new(cfg, profile).run(&Pool::sequential(), |_| {
+        BenchSetup::nfp6000_hsw().build_nic_platform()
+    });
+    assert!(r.dropped() > 0 && r.delivered() > 0);
+    let snap = r.snapshot("flows");
+    let g = snap.group("flows.stages").expect("flows.stages group");
+    assert_eq!(g.get("packets"), Some(r.delivered()));
+    let from_group: u64 = DriverStage::ALL
+        .iter()
+        .map(|s| g.get(&format!("{}_total_ns", s.name())).unwrap())
+        .sum();
+    let e2e = g.get("end_to_end_total_ns").unwrap();
+    assert!(
+        e2e.abs_diff(from_group) <= DriverStage::ALL.len() as u64,
+        "stage sum {from_group} must telescope to end-to-end {e2e}"
+    );
+    assert_eq!(e2e, r.e2e.total_ns() as u64, "the group and e2e agree");
+    assert_eq!(g.get("tx_post_total_ns"), Some(0));
+    assert_eq!(g.get("tx_dma_total_ns"), Some(0));
 }
 
 #[test]
