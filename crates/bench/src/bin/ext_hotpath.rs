@@ -30,9 +30,8 @@ use pcie_host::LlcCache;
 use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, SplitMix64, Timeline};
-use pcie_tlp::plan::PlanCache;
 use pcie_tlp::types::{DeviceId, Tag};
-use pcie_tlp::{split, Packet, TlpRepr, TlpType};
+use pcie_tlp::{Packet, TlpRepr, TlpType};
 use pciebench::{BenchParams, BenchScratch, BenchSetup, LatOp};
 
 /// Times `iters` trips of `f`, returning ns per trip (no baseline
@@ -152,41 +151,6 @@ fn bench_tlp_assembly(b: &mut Budget) {
     b.record("tlp_assembly", iters, ns);
 }
 
-fn bench_split_plan(b: &mut Budget) {
-    let iters = n(1_000_000) as u64;
-    // A 512 B read completed under MPS=256/RCB=64 from four distinct
-    // start offsets: multi-chunk plans, the case the cache memoises.
-    let (len, mps, rcb) = (512u32, 256u32, 64u32);
-    let addr_at = |i: u64| 0x4000 + (i & 3) * 0x40;
-
-    let ns = differential(iters, |i| {
-        let mut total = 0u32;
-        for c in split::completion_chunks(addr_at(i), len, mps, rcb) {
-            total += c.len;
-        }
-        black_box(total);
-    });
-    b.record("split_plan_derive", iters, ns);
-
-    let mut plans = PlanCache::new();
-    // Replay must reproduce the derived plan exactly.
-    for i in 0..4 {
-        let derived: Vec<u32> = split::completion_chunks(addr_at(i), len, mps, rcb)
-            .map(|c| c.len)
-            .collect();
-        assert_eq!(
-            plans.completion_lens(addr_at(i), len, mps, rcb),
-            &derived[..],
-            "memoised plan must match the iterator"
-        );
-    }
-    let ns = differential(iters, |i| {
-        let lens = plans.completion_lens(addr_at(i), len, mps, rcb);
-        black_box(lens.iter().copied().sum::<u32>());
-    });
-    b.record("split_plan_replay", iters, ns);
-}
-
 fn bench_end_to_end(b: &mut Budget) {
     // The whole per-transaction toll at once: a closed-loop 8 B
     // LAT_RD over the §6.1 baseline geometry, wall time per txn.
@@ -222,7 +186,7 @@ fn main() {
     println!(
         "# differential loops: component minus empty-loop baseline, best of 3;\n\
          # 'op' is one reserve / acquire+release / round trip / probe / sample /\n\
-         # emit / plan / transaction respectively."
+         # emit / transaction respectively."
     );
     let mut b = Budget { rows: Vec::new() };
     bench_timeline(&mut b);
@@ -231,7 +195,6 @@ fn main() {
     bench_llc(&mut b);
     bench_jitter(&mut b);
     bench_tlp_assembly(&mut b);
-    bench_split_plan(&mut b);
     bench_end_to_end(&mut b);
 
     println!("\n# Sanity checks:");
@@ -242,7 +205,6 @@ fn main() {
         );
     }
     println!("#  - all components positive and finite");
-    println!("#  - memoised completion plans identical to the split iterator (asserted)");
 
     println!();
     for (name, ns, iters) in &b.rows {

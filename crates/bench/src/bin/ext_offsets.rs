@@ -10,7 +10,7 @@
 
 use pcie_bench_harness::{header, n};
 use pcie_device::DmaPath;
-use pcie_tlp::split::split_completions;
+use pcie_tlp::split::completion_chunks;
 use pciebench::{run_bandwidth, run_latency, BenchParams, BenchSetup, BwOp, LatOp};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     header("Unaligned DMA reads: completion TLP counts (512B read, MPS 256, RCB 64)");
     println!("# {:>8} {:>10}", "offset", "CplD TLPs");
     for off in [0u64, 1, 4, 32, 63] {
-        let cpls = split_completions(0x10000 + off, 512, 256, 64).len();
+        let cpls = completion_chunks(0x10000 + off, 512, 256, 64).count();
         println!("{:>10} {:>10}", off, cpls);
     }
 

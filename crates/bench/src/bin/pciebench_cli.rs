@@ -44,6 +44,11 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+fn invalid(msg: &str) -> ! {
+    eprintln!("invalid parameters: {msg}");
+    std::process::exit(2)
+}
+
 const HELP: &str = "usage: pciebench_cli <LAT_RD|LAT_WRRD|BW_RD|BW_WR|BW_RDWR> \
 [--system S] [--size N] [--window N[k|m]] [--offset N] [--pattern random|sequential] \
 [--cache warm|cold|device-warm] [--numa local|remote] [--iommu off|4k|superpages] \
@@ -60,7 +65,7 @@ fn parse_bytes(s: &str) -> Option<u64> {
     } else {
         (lower.as_str(), 1)
     };
-    num.parse::<u64>().ok().map(|v| v * mult)
+    num.parse::<u64>().ok()?.checked_mul(mult)
 }
 
 fn main() {
@@ -166,8 +171,7 @@ fn main() {
         setup = setup.with_telemetry();
     }
     if !(0.0..=1.0).contains(&ber) {
-        eprintln!("invalid parameters: --ber must be in [0, 1]");
-        std::process::exit(2);
+        invalid("--ber must be in [0, 1]");
     }
     if ber > 0.0 {
         setup = setup.with_ber(ber);
@@ -181,19 +185,29 @@ fn main() {
         placement: numa,
     };
     if let Err(e) = params.validate() {
-        eprintln!("invalid parameters: {e}");
-        std::process::exit(2);
+        invalid(&e);
     }
     if count == Some(0) {
-        eprintln!("invalid parameters: --count must be at least 1");
-        std::process::exit(2);
+        invalid("--count must be at least 1");
     }
     if numa == NumaPlacement::Remote && setup.preset.numa_nodes < 2 {
-        eprintln!(
-            "invalid parameters: {} is a single-socket system; --numa remote needs a 2-way host (nfp6000-bdw, nfp6000-ib)",
+        invalid(&format!(
+            "{} is a single-socket system; --numa remote needs a 2-way host (nfp6000-bdw, nfp6000-ib)",
             setup.preset.name
-        );
-        std::process::exit(2);
+        ));
+    }
+    if path == DmaPath::CommandIf {
+        match setup.device.cmdif {
+            None => invalid(&format!(
+                "{} has no command interface; use --path dma",
+                setup.device.name
+            )),
+            Some(c) if size > c.max_size => invalid(&format!(
+                "the command interface moves at most {}B per transfer, not {size}B",
+                c.max_size
+            )),
+            Some(_) => {}
+        }
     }
 
     println!(

@@ -88,6 +88,15 @@ impl BenchParams {
                 self.unit()
             ));
         }
+        if self.units() > u64::from(u32::MAX) {
+            return Err(format!(
+                "window {} holds {} units of {}B; at most {} can be enumerated",
+                self.window,
+                self.units(),
+                self.unit(),
+                u32::MAX
+            ));
+        }
         Ok(())
     }
 }
@@ -138,5 +147,16 @@ mod tests {
             ..BenchParams::baseline(128)
         };
         assert!(p.validate().is_err());
+        // One unit past what an access order can enumerate.
+        let p = BenchParams {
+            window: (u64::from(u32::MAX) + 1) * 64,
+            ..BenchParams::baseline(64)
+        };
+        assert!(p.validate().is_err());
+        let p = BenchParams {
+            window: u64::from(u32::MAX) * 64,
+            ..p
+        };
+        assert!(p.validate().is_ok());
     }
 }

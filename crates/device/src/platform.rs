@@ -33,7 +33,6 @@ use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, Timeline};
 use pcie_telemetry::{CounterGroup, Snapshot, Stage, StageReport, StageSample, StageStats};
-use pcie_tlp::plan::{self, PlanCache};
 use pcie_tlp::split;
 use pcie_tlp::types::TlpType;
 use pcie_topo::Switch;
@@ -161,9 +160,6 @@ pub struct DeviceEngine {
     max_read_retries: u32,
     /// Whether a fault plan is installed (gates error-path telemetry).
     faults_active: bool,
-    /// Memoised completion-split plans, replayed allocation-free on
-    /// the flat fault-free read path (see `pcie_tlp::plan`).
-    plans: PlanCache,
 }
 
 impl DeviceEngine {
@@ -192,18 +188,7 @@ impl DeviceEngine {
             completion_timeout: FaultPlan::none().completion_timeout,
             max_read_retries: FaultPlan::none().max_read_retries,
             faults_active: false,
-            plans: PlanCache::new(),
         }
-    }
-
-    /// Enables or disables split-plan memoisation (on by default).
-    /// Disabled, every split is re-derived per transaction — the
-    /// results are bit-identical either way (the `tests/properties.rs`
-    /// pin runs a seeded sweep both ways and compares wire counters,
-    /// DLLP streams and latency bytes), so this exists only for that
-    /// pin and for cost-budget measurements.
-    pub fn set_plan_cache_enabled(&mut self, on: bool) {
-        self.plans.set_enabled(on);
     }
 
     /// Installs a fault plan on this engine's link and copies the
@@ -368,37 +353,6 @@ impl DeviceEngine {
         let prop = self.link.timing().propagation;
         let mut sent_last = t0;
         let mut absorbed_last = t0;
-        if fab.is_none() && !self.link.faults_active() {
-            // Flat fault-free fast path: no drop/poison verdicts, no
-            // switch stage — the same acquire → send → absorb →
-            // release sequence as the loop below, minus its dead
-            // branches.
-            if plan::single_quantized_chunk(addr, len, mps) {
-                // Single MWr — no split iteration needed.
-                let p_at = self.posted_credits.acquire(t0);
-                let arrival = self
-                    .link
-                    .send_tlp(Direction::Upstream, TlpType::MWr64, len, p_at);
-                let absorbed = host.process_write_tlp_in(arrival, self.domain, buf, addr, len);
-                self.posted_credits.release_at(absorbed);
-                return (
-                    arrival - prop + self.dev.dma_complete_overhead,
-                    absorbed_last.max(absorbed),
-                );
-            }
-            for chunk in split::write_chunks(addr, len, mps) {
-                let p_at = self.posted_credits.acquire(sent_last.max(t0));
-                let arrival =
-                    self.link
-                        .send_tlp(Direction::Upstream, TlpType::MWr64, chunk.len, p_at);
-                let absorbed =
-                    host.process_write_tlp_in(arrival, self.domain, buf, chunk.addr, chunk.len);
-                self.posted_credits.release_at(absorbed);
-                absorbed_last = absorbed_last.max(absorbed);
-                sent_last = arrival - prop;
-            }
-            return (sent_last + self.dev.dma_complete_overhead, absorbed_last);
-        }
         for chunk in split::write_chunks(addr, len, mps) {
             let p_at = self.posted_credits.acquire(sent_last.max(t0));
             let out = self
@@ -517,69 +471,6 @@ impl DeviceEngine {
             (cfg.mrrs, cfg.mps, cfg.rcb)
         };
         let mut data_done = t0;
-        if fab.is_none() && !self.link.faults_active() && self.telem.is_none() {
-            // Flat, fault-free, untelemetered: the general loop below
-            // degenerates to exactly this call sequence (every retry
-            // branch is dead, the critical-chunk tracking is unused),
-            // so the scaffolding — retry counters, outcome structs,
-            // per-chunk fabric dispatch — is skipped wholesale. Same
-            // stateful calls in the same order, bit-identical times.
-            if plan::single_quantized_chunk(addr, len, mrrs)
-                && plan::single_completion_chunk(addr, len, mps, rcb)
-            {
-                // One request, one completion — the small-DMA common
-                // case takes a straight line with no split iteration
-                // and no burst machinery. A burst of one TLP walks the
-                // identical per-TLP sequence `send_tlp` does (same
-                // debt payment, sequence/counter updates, ACK/FC
-                // reactions, one timeline reservation), so dispatching
-                // the lone CplD directly is bit-identical.
-                let tag_at = self.read_tags.acquire(t0);
-                let np_at = self.nonposted_credits.acquire(tag_at);
-                let req = self
-                    .link
-                    .send_tlp(Direction::Upstream, TlpType::MRd64, 0, np_at);
-                self.nonposted_credits.release_at(req + SimTime::from_ns(5));
-                let ready = host.process_read_tlp_in(req, self.domain, buf, addr, len);
-                let last = self
-                    .link
-                    .send_tlp(Direction::Downstream, TlpType::CplD, len, ready);
-                self.read_tags.release_at(last);
-                data_done = data_done.max(last);
-            } else {
-                // Multi-chunk: replay the memoised completion-split
-                // plan allocation-free.
-                for chunk in split::read_request_chunks(addr, len, mrrs) {
-                    let tag_at = self.read_tags.acquire(t0);
-                    let np_at = self.nonposted_credits.acquire(tag_at);
-                    let req = self
-                        .link
-                        .send_tlp(Direction::Upstream, TlpType::MRd64, 0, np_at);
-                    self.nonposted_credits.release_at(req + SimTime::from_ns(5));
-                    let ready =
-                        host.process_read_tlp_in(req, self.domain, buf, chunk.addr, chunk.len);
-                    let last = if plan::single_completion_chunk(chunk.addr, chunk.len, mps, rcb) {
-                        self.link
-                            .send_tlp(Direction::Downstream, TlpType::CplD, chunk.len, ready)
-                    } else {
-                        let lens = self.plans.completion_lens(chunk.addr, chunk.len, mps, rcb);
-                        self.link.send_tlp_burst(
-                            Direction::Downstream,
-                            TlpType::CplD,
-                            lens.iter().copied(),
-                            ready,
-                        )
-                    };
-                    self.read_tags.release_at(last);
-                    data_done = data_done.max(last);
-                }
-            }
-            let internal = match path {
-                DmaPath::DmaEngine => self.dev.internal_copy(len),
-                DmaPath::CommandIf => SimTime::ZERO,
-            };
-            return data_done + internal + self.dev.dma_complete_overhead;
-        }
         // Boundary timestamps of the critical chunk (first_np,
         // np_final, req_arrival, ready) plus its DLL recovery time on
         // the request and completion wires; only tracked when
@@ -632,36 +523,18 @@ impl DeviceEngine {
                 let mut cpl_fault = SimTime::ZERO;
                 let mut cpl_dropped = false;
                 let mut cpl_poisoned = false;
-                if fab.is_none() && !self.link.faults_active() {
-                    // Flat fault-free fast path: the whole completion
-                    // stream leaves the RC at `ready`, so it batches
-                    // into one back-to-back burst (bit-identical to
-                    // the per-TLP loop below).
-                    last_arrival = self.link.send_tlp_burst(
-                        Direction::Downstream,
-                        TlpType::CplD,
-                        split::completion_chunks(chunk.addr, chunk.len, mps, rcb).map(|c| c.len),
-                        ready,
-                    );
-                } else {
-                    for cpl in split::completion_chunks(chunk.addr, chunk.len, mps, rcb) {
-                        let at = match fab.as_mut() {
-                            Some((sw, port)) => {
-                                sw.forward_down(*port, TlpType::CplD, cpl.len, ready)
-                            }
-                            None => ready,
-                        };
-                        let out = self.link.send_tlp_ext(
-                            Direction::Downstream,
-                            TlpType::CplD,
-                            cpl.len,
-                            at,
-                        );
-                        last_arrival = out.arrival;
-                        cpl_fault += out.fault_delay;
-                        cpl_dropped |= out.dropped;
-                        cpl_poisoned |= out.poisoned;
-                    }
+                for cpl in split::completion_chunks(chunk.addr, chunk.len, mps, rcb) {
+                    let at = match fab.as_mut() {
+                        Some((sw, port)) => sw.forward_down(*port, TlpType::CplD, cpl.len, ready),
+                        None => ready,
+                    };
+                    let out =
+                        self.link
+                            .send_tlp_ext(Direction::Downstream, TlpType::CplD, cpl.len, at);
+                    last_arrival = out.arrival;
+                    cpl_fault += out.fault_delay;
+                    cpl_dropped |= out.dropped;
+                    cpl_poisoned |= out.poisoned;
                 }
                 if cpl_dropped {
                     // A lost completion is indistinguishable from a
@@ -876,7 +749,7 @@ impl DeviceEngine {
         let peer_cfg = *peer.link.config();
         let peer_prop = peer.link.timing().propagation;
         let mut data_done = t0;
-        for chunk in split::split_read_requests(addr, len, cfg.mrrs) {
+        for chunk in split::read_request_chunks(addr, len, cfg.mrrs) {
             let tag_at = self.read_tags.acquire(t0);
             let np_at = self.nonposted_credits.acquire(tag_at);
             let req = self
@@ -925,7 +798,7 @@ impl DeviceEngine {
             // sends are debt-accounted but not FIFO-ratcheted).
             let mut start = ready;
             let mut last = ready;
-            for cpl in split::split_completions(chunk.addr, chunk.len, peer_cfg.mps, peer_cfg.rcb) {
+            for cpl in split::completion_chunks(chunk.addr, chunk.len, peer_cfg.mps, peer_cfg.rcb) {
                 let t =
                     peer.link
                         .send_tlp_deferred(Direction::Upstream, TlpType::CplD, cpl.len, start);
@@ -1194,14 +1067,6 @@ impl Platform {
     /// Installs a fault plan (see [`DeviceEngine::set_fault_plan`]).
     pub fn set_fault_plan(&mut self, plan: &FaultPlan, seed: u64) {
         self.engine.set_fault_plan(plan, seed);
-    }
-
-    /// Toggles split-plan memoisation (see
-    /// [`DeviceEngine::set_plan_cache_enabled`]). On by default;
-    /// determinism pins run both settings and demand identical
-    /// timing, counters and wire traffic.
-    pub fn set_plan_cache_enabled(&mut self, on: bool) {
-        self.engine.set_plan_cache_enabled(on);
     }
 
     /// The device's AER-style error counters.

@@ -413,103 +413,6 @@ impl Link {
         }
     }
 
-    /// Serialises a back-to-back burst of same-type TLPs all wanted at
-    /// `now` — the completion stream of a large read, or any other
-    /// case where several TLPs leave the same direction at one
-    /// simulated instant. Returns the arrival time of the *last* TLP
-    /// at the far end.
-    ///
-    /// Bit-identical to calling [`Link::send_tlp`] once per length
-    /// with the same `now` (every counter, sequence number, replay and
-    /// DLLP interaction included), but the direction's timeline
-    /// advances once per burst instead of once per TLP. Fault-free
-    /// only: with an injector installed the burst falls back to
-    /// per-TLP sends, so callers that must observe drop/poison
-    /// verdicts should use [`Link::send_tlp_ext`] per TLP when
-    /// [`Link::faults_active`] returns true.
-    pub fn send_tlp_burst(
-        &mut self,
-        dir: Direction,
-        ty: TlpType,
-        lens: impl IntoIterator<Item = u32>,
-        now: SimTime,
-    ) -> SimTime {
-        if self.faults.is_some() {
-            let mut last = now;
-            for len in lens {
-                last = self.send_tlp_ext(dir, ty, len, now).arrival;
-            }
-            return last;
-        }
-        let rate = self.rate;
-        let overheads = self.config.overheads;
-        let (ack_coalesce, fc_interval, propagation) = (
-            self.timing.ack_coalesce,
-            self.timing.fc_update_interval,
-            self.timing.propagation,
-        );
-        let has_data = ty.has_data();
-        let memo = &mut self.ser;
-        let [up, down] = &mut self.dirs;
-        let (d, o) = match dir {
-            Direction::Upstream => (up, down),
-            Direction::Downstream => (down, up),
-        };
-        // The timeline is advanced once for the whole burst; it is
-        // taken out of the DirState so the per-TLP bookkeeping closure
-        // below can borrow the rest of the struct.
-        let mut timeline = std::mem::take(&mut d.timeline);
-        // The first TLP pays this direction's accrued DLLP debt,
-        // exactly as in [`Link::send_tlp_ext`].
-        let mut debt = std::mem::take(&mut d.dllp_debt);
-        let mut dllps = 0u64;
-        let mut count = 0u64;
-        let mut lens = lens.into_iter();
-        let res = timeline.reserve_batch(
-            now,
-            std::iter::from_fn(|| {
-                lens.next().map(|len| {
-                    let wire_bytes = overheads
-                        .wire_cost(ty, if has_data { len } else { 0 })
-                        .total() as u64;
-                    let seq = d.next_seq;
-                    d.next_seq = seq_next(seq);
-                    d.counters.tlps += 1;
-                    d.counters.tlp_bytes += wire_bytes;
-                    d.counters.payload_bytes += if has_data { len as u64 } else { 0 };
-                    d.replay_buf.push_back((seq, wire_bytes as u32));
-                    let force_ack = d.replay_buf.len() >= REPLAY_BUFFER_TLPS;
-                    o.unacked += 1;
-                    o.since_fc += 1;
-                    if o.unacked >= ack_coalesce || force_ack {
-                        o.unacked = 0;
-                        dllps += 1;
-                        d.replay_buf.clear();
-                    }
-                    if o.since_fc >= fc_interval {
-                        o.since_fc = 0;
-                        dllps += 2; // request + completion UpdateFC
-                    }
-                    count += 1;
-                    memo.time(wire_bytes + std::mem::take(&mut debt), rate)
-                })
-            }),
-        );
-        d.timeline = timeline;
-        // Any debt the burst did not pay (empty burst) stays accrued.
-        d.dllp_debt += debt;
-        if dllps > 0 {
-            let bytes = dllps * Dllp::WIRE_BYTES as u64;
-            o.dllp_debt += bytes;
-            o.counters.dllps += dllps;
-            o.counters.dllp_bytes += bytes;
-        }
-        if count == 0 {
-            return now;
-        }
-        res.end + propagation
-    }
-
     /// Serialises a TLP *without* entering the direction's FIFO: its
     /// wire bytes are accrued as debt (paid by the next FIFO send) and
     /// its arrival is computed from `now` alone.
@@ -633,48 +536,6 @@ mod tests {
         assert_eq!(l.counters(Direction::Upstream).tlps, 1);
         assert_eq!(l.counters(Direction::Upstream).tlp_bytes, 280);
         assert_eq!(l.counters(Direction::Upstream).payload_bytes, 256);
-    }
-
-    #[test]
-    fn burst_matches_per_tlp_loop_bit_for_bit() {
-        // A fault-free burst must leave the link in exactly the state a
-        // per-TLP loop would: same last arrival, same wire counters on
-        // both directions (ACK coalescing and FC updates included), and
-        // identical behaviour for follow-on traffic.
-        let mut burst = link();
-        let mut looped = link();
-        for l in [&mut burst, &mut looped] {
-            // Pre-existing traffic: sequence numbers advanced, DLLP
-            // debt accrued, replay buffer non-empty.
-            l.send_tlp(Direction::Upstream, TlpType::MWr64, 128, SimTime::ZERO);
-            l.send_tlp(Direction::Downstream, TlpType::CplD, 64, SimTime::ZERO);
-        }
-        // Enough TLPs to cross ACK-coalescing and FC-update intervals.
-        let lens: Vec<u32> = (0..40).map(|i| 64 + (i % 4) * 64).collect();
-        let now = SimTime::from_ns(500);
-        let a = burst.send_tlp_burst(
-            Direction::Downstream,
-            TlpType::CplD,
-            lens.iter().copied(),
-            now,
-        );
-        let mut b = SimTime::ZERO;
-        for &len in &lens {
-            b = looped.send_tlp(Direction::Downstream, TlpType::CplD, len, now);
-        }
-        assert_eq!(a, b, "last arrival");
-        for dir in [Direction::Upstream, Direction::Downstream] {
-            assert_eq!(burst.counters(dir), looped.counters(dir), "{dir:?}");
-        }
-        let fa = burst.send_tlp(Direction::Downstream, TlpType::CplD, 32, a);
-        let fb = looped.send_tlp(Direction::Downstream, TlpType::CplD, 32, b);
-        assert_eq!(fa, fb, "follow-on send sees identical link state");
-        let ea = burst.send_tlp_burst(Direction::Upstream, TlpType::MRd64, [], fa);
-        assert_eq!(ea, fa, "empty burst: nothing serialised");
-        assert_eq!(
-            burst.counters(Direction::Upstream),
-            looped.counters(Direction::Upstream)
-        );
     }
 
     #[test]

@@ -63,53 +63,6 @@ impl Timeline {
         Reservation { start, end }
     }
 
-    /// Reserves a back-to-back batch of requests all arriving at
-    /// `arrival`, advancing the busy horizon once. Returns the start
-    /// of the first reservation and the end of the last.
-    ///
-    /// Exactly equivalent — including every statistic and the optional
-    /// recording log — to calling [`Timeline::reserve`] once per
-    /// duration with the same `arrival`: the i-th request starts where
-    /// the (i-1)-th ended, so only the first can queue behind earlier
-    /// traffic, and the rest queue behind their own batch. An empty
-    /// batch reserves nothing and returns the current horizon.
-    pub fn reserve_batch(
-        &mut self,
-        arrival: SimTime,
-        durations: impl IntoIterator<Item = SimTime>,
-    ) -> Reservation {
-        let first_start = arrival.max(self.busy_until);
-        let mut end = first_start;
-        let mut n = 0u64;
-        let mut busy = SimTime::ZERO;
-        let mut queued = SimTime::ZERO;
-        for d in durations {
-            // This request starts where the previous one ended (or at
-            // `first_start`), and has been waiting since `arrival`.
-            queued += end - arrival;
-            end += d;
-            busy += d;
-            n += 1;
-            if let Some(log) = &mut self.recorded {
-                log.push((arrival, end - d, end));
-            }
-        }
-        if n == 0 {
-            return Reservation {
-                start: self.busy_until,
-                end: self.busy_until,
-            };
-        }
-        self.busy_until = end;
-        self.busy_accum += busy;
-        self.reservations += n;
-        self.queue_accum += queued;
-        Reservation {
-            start: first_start,
-            end,
-        }
-    }
-
     /// Starts logging every subsequent reservation's
     /// `(arrival, start, end)` triple; see [`Timeline::recorded`].
     pub fn enable_recording(&mut self) {
@@ -248,48 +201,6 @@ mod tests {
             tl.recorded(),
             &[(ns(5), ns(10), ns(20)), (ns(100), ns(100), ns(110))]
         );
-    }
-
-    #[test]
-    fn reserve_batch_matches_reserve_loop() {
-        // Same arrivals, same durations, one horizon advance — every
-        // statistic and the recording log must agree with the loop.
-        let durations = [7u64, 0, 13, 1, 64];
-        let mut batched = Timeline::new();
-        let mut looped = Timeline::new();
-        for tl in [&mut batched, &mut looped] {
-            tl.enable_recording();
-            tl.reserve(ns(0), ns(30)); // pre-existing traffic to queue behind
-        }
-        let r = batched.reserve_batch(ns(10), durations.iter().map(|&d| ns(d)));
-        let mut first = None;
-        let mut last = None;
-        for &d in &durations {
-            let one = looped.reserve(ns(10), ns(d));
-            first.get_or_insert(one.start);
-            last = Some(one.end);
-        }
-        assert_eq!(r.start, first.unwrap());
-        assert_eq!(r.end, last.unwrap());
-        assert_eq!(batched.busy_until(), looped.busy_until());
-        assert_eq!(batched.busy_time(), looped.busy_time());
-        assert_eq!(batched.reservations(), looped.reservations());
-        assert_eq!(batched.queue_time(), looped.queue_time());
-        assert_eq!(batched.recorded(), looped.recorded());
-    }
-
-    #[test]
-    fn empty_batch_reserves_nothing() {
-        let mut tl = Timeline::new();
-        tl.enable_recording();
-        tl.reserve(ns(0), ns(25));
-        let r = tl.reserve_batch(ns(100), std::iter::empty());
-        assert_eq!(r.start, ns(25), "horizon, untouched");
-        assert_eq!(r.end, ns(25));
-        assert_eq!(tl.reservations(), 1);
-        assert_eq!(tl.busy_time(), ns(25));
-        assert_eq!(tl.queue_time(), SimTime::ZERO);
-        assert_eq!(tl.recorded().len(), 1);
     }
 
     #[test]

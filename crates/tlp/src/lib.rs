@@ -26,12 +26,10 @@
 
 pub mod dllp;
 pub mod packet;
-pub mod plan;
 pub mod sizes;
 pub mod split;
 pub mod types;
 
 pub use packet::{Packet, TlpRepr};
-pub use plan::PlanCache;
 pub use sizes::{TlpOverheads, WireCost};
 pub use types::{CplStatus, DeviceId, Tag, TlpType};

@@ -31,10 +31,10 @@ fn check_args(len: u32, quantum: u32, name: &str) {
     );
 }
 
-/// Iterator over the MPS/MRRS-quantised chunks of a transfer — the
-/// allocation-free core of [`split_write`] / [`split_read_requests`].
-/// The per-TLP hot paths iterate this directly: a heap allocation per
-/// DMA would otherwise dominate small-transfer simulation cost.
+/// Iterator over the MPS/MRRS-quantised chunks of a transfer
+/// ([`write_chunks`] / [`read_request_chunks`]). The per-TLP hot paths
+/// iterate it directly: a heap allocation per DMA would otherwise
+/// dominate small-transfer simulation cost.
 #[derive(Debug, Clone)]
 pub struct QuantizedChunks {
     pos: u64,
@@ -89,19 +89,7 @@ pub fn read_request_chunks(addr: u64, len: u32, mrrs: u32) -> QuantizedChunks {
     }
 }
 
-/// Splits a DMA write into MWr-sized chunks (see [`write_chunks`] for
-/// the allocation-free form used on hot paths).
-pub fn split_write(addr: u64, len: u32, mps: u32) -> Vec<Chunk> {
-    write_chunks(addr, len, mps).collect()
-}
-
-/// Splits a DMA read into MRd request chunks bounded by `mrrs`.
-pub fn split_read_requests(addr: u64, len: u32, mrrs: u32) -> Vec<Chunk> {
-    read_request_chunks(addr, len, mrrs).collect()
-}
-
-/// Iterator over a read's completion stream — the allocation-free core
-/// of [`split_completions`].
+/// Iterator over a read's completion stream ([`completion_chunks`]).
 #[derive(Debug, Clone)]
 pub struct CompletionChunks {
     pos: u64,
@@ -160,27 +148,6 @@ pub fn completion_chunks(addr: u64, len: u32, mps: u32, rcb: u32) -> CompletionC
     }
 }
 
-/// Splits the *completion* stream for a read (see [`completion_chunks`]
-/// for the allocation-free form used on hot paths).
-pub fn split_completions(addr: u64, len: u32, mps: u32, rcb: u32) -> Vec<Chunk> {
-    completion_chunks(addr, len, mps, rcb).collect()
-}
-
-/// The PCIe completion `byte_count` sequence for a chunked read:
-/// bytes remaining *including* each chunk.
-pub fn byte_counts(chunks: &[Chunk]) -> Vec<u32> {
-    let total: u32 = chunks.iter().map(|c| c.len).sum();
-    let mut remaining = total;
-    chunks
-        .iter()
-        .map(|c| {
-            let bc = remaining;
-            remaining -= c.len;
-            bc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,7 +170,7 @@ mod tests {
 
     #[test]
     fn aligned_write_exact_multiples() {
-        let c = split_write(0x1000, 1024, 256);
+        let c: Vec<Chunk> = write_chunks(0x1000, 1024, 256).collect();
         assert_eq!(c.len(), 4);
         assert!(c.iter().all(|c| c.len == 256));
         assert!(contiguous(0x1000, &c));
@@ -211,7 +178,7 @@ mod tests {
 
     #[test]
     fn unaligned_write_first_chunk_short() {
-        let c = split_write(0x10c0, 512, 256);
+        let c: Vec<Chunk> = write_chunks(0x10c0, 512, 256).collect();
         // 0x10c0 % 256 = 0xc0 = 192 -> first chunk 64 bytes.
         assert_eq!(
             c[0],
@@ -226,8 +193,7 @@ mod tests {
 
     #[test]
     fn write_never_crosses_page() {
-        let c = split_write(4096 - 100, 300, 256);
-        for ch in &c {
+        for ch in write_chunks(4096 - 100, 300, 256) {
             let first_page = ch.addr / 4096;
             let last_page = (ch.addr + ch.len as u64 - 1) / 4096;
             assert_eq!(first_page, last_page, "chunk {ch:?} crosses 4KiB");
@@ -238,8 +204,8 @@ mod tests {
     fn read_requests_match_paper_eq2() {
         // Eq 2: number of MRd TLPs = ceil(sz / MRRS) for aligned reads.
         for sz in [64u32, 512, 513, 1024, 1500, 2048] {
-            let c = split_read_requests(0x20000, sz, 512);
-            assert_eq!(c.len() as u32, sz.div_ceil(512), "sz={sz}");
+            let n = read_request_chunks(0x20000, sz, 512).count();
+            assert_eq!(n as u32, sz.div_ceil(512), "sz={sz}");
         }
     }
 
@@ -247,8 +213,8 @@ mod tests {
     fn completions_aligned_match_paper_eq3() {
         // Eq 3: number of CplD TLPs = ceil(sz / MPS) for aligned reads.
         for sz in [64u32, 256, 257, 512, 1024, 2048] {
-            let c = split_completions(0x4000, sz, 256, 64);
-            assert_eq!(c.len() as u32, sz.div_ceil(256), "sz={sz}");
+            let n = completion_chunks(0x4000, sz, 256, 64).count();
+            assert_eq!(n as u32, sz.div_ceil(256), "sz={sz}");
         }
     }
 
@@ -258,7 +224,7 @@ mod tests {
         // RCB), then 192B (to the next MPS boundary), then 8B — three
         // TLPs where the aligned read needed one. This is the
         // unaligned-read overhead the paper's model ignores (§3).
-        let c = split_completions(0x4008, 256, 256, 64);
+        let c: Vec<Chunk> = completion_chunks(0x4008, 256, 256, 64).collect();
         assert_eq!(
             c[0],
             Chunk {
@@ -281,26 +247,19 @@ mod tests {
             }
         );
         assert_eq!(c.len(), 3);
-        let aligned = split_completions(0x4000, 256, 256, 64);
-        assert_eq!(aligned.len(), 1);
-    }
-
-    #[test]
-    fn byte_counts_sequence() {
-        let c = split_completions(0x4000, 600, 256, 64);
-        assert_eq!(byte_counts(&c), vec![600, 344, 88]);
+        assert_eq!(completion_chunks(0x4000, 256, 256, 64).count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "MPS")]
     fn rejects_non_power_of_two_mps() {
-        split_write(0, 100, 200);
+        write_chunks(0, 100, 200);
     }
 
     #[test]
     #[should_panic(expected = "zero-length")]
     fn rejects_zero_len() {
-        split_write(0, 0, 256);
+        write_chunks(0, 0, 256);
     }
 
     // Randomised invariant checks, formerly proptest strategies; now
@@ -315,7 +274,7 @@ mod tests {
             let addr = rng.next_below(1u64 << 40);
             let len = rng.range(1, 16384) as u32;
             let mps = 1u32 << rng.range(5, 10); // 32..512
-            let chunks = split_write(addr, len, mps);
+            let chunks: Vec<Chunk> = write_chunks(addr, len, mps).collect();
             assert_eq!(total(&chunks), len as u64);
             assert!(contiguous(addr, &chunks));
             for c in &chunks {
@@ -339,7 +298,7 @@ mod tests {
             let addr = rng.next_below(1u64 << 40);
             let len = rng.range(1, 16384) as u32;
             let (mps, rcb) = (256u32, 64u32);
-            let chunks = split_completions(addr, len, mps, rcb);
+            let chunks: Vec<Chunk> = completion_chunks(addr, len, mps, rcb).collect();
             assert_eq!(total(&chunks), len as u64);
             assert!(contiguous(addr, &chunks));
             for (i, c) in chunks.iter().enumerate() {
@@ -347,12 +306,6 @@ mod tests {
                 if i > 0 {
                     assert_eq!(c.addr % rcb as u64, 0, "chunk {} not RCB aligned", i);
                 }
-            }
-            // byte_counts is strictly decreasing and starts at len
-            let bcs = byte_counts(&chunks);
-            assert_eq!(bcs[0], len);
-            for w in bcs.windows(2) {
-                assert!(w[0] > w[1]);
             }
         }
     }
@@ -364,7 +317,7 @@ mod tests {
             let addr = rng.next_below(1u64 << 40);
             let len = rng.range(1, 16384) as u32;
             let mrrs = 512u32;
-            let chunks = split_read_requests(addr, len, mrrs);
+            let chunks: Vec<Chunk> = read_request_chunks(addr, len, mrrs).collect();
             assert_eq!(total(&chunks), len as u64);
             assert!(contiguous(addr, &chunks));
             for c in &chunks {

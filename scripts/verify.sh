@@ -34,17 +34,23 @@ else
 fi
 
 # The benchmark package: its own tests, then each workload once at
-# the default seed. Every run's digest must match the one recorded in
-# simbench/golden.tsv, so a change that moves any simulated output of
-# the four workloads fails here.
+# the default seed and once at seed 0. Every run's digest must match
+# the one recorded in simbench/golden.tsv, so a change that moves any
+# simulated output of the four workloads fails here, including one
+# that moves only the outputs of a non-default seed.
 echo "==> cargo test --manifest-path simbench/Cargo.toml"
 cargo test --offline --quiet --manifest-path simbench/Cargo.toml
 
 for w in dma_sweep driver_zoo flow_rx rpc_fabric; do
-    echo "==> simbench --workload $w --seconds 0 (digest must match simbench/golden.tsv)"
-    out=$(cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- \
-        --workload "$w" --seconds 0) || { printf '%s\n' "$out" >&2; exit 1; }
-    printf '%s\n' "$out" | grep '^# digest matches' || { printf '%s\n' "$out" >&2; exit 1; }
+    for seed in default 0; do
+        echo "==> simbench --workload $w --seed $seed --seconds 0 (digest must match simbench/golden.tsv)"
+        args="--workload $w --seconds 0"
+        [ "$seed" = default ] || args="$args --seed $seed"
+        # $args is split on purpose: every word is a plain token.
+        out=$(cargo run --release --quiet --offline --manifest-path simbench/Cargo.toml -- $args) ||
+            { printf '%s\n' "$out" >&2; exit 1; }
+        printf '%s\n' "$out" | grep '^# digest matches' || { printf '%s\n' "$out" >&2; exit 1; }
+    done
 done
 
 # Non-fatal perf datapoint: quick suite (sequential vs parallel) and

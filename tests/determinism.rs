@@ -60,51 +60,6 @@ fn different_seeds_differ() {
 }
 
 #[test]
-fn split_plan_memoisation_is_invisible() {
-    // The device engine memoises completion split plans (MPS/RCB
-    // chunk lengths) in a small LRU. The cache is a pure replay of
-    // what the split iterator derives, so a seeded sweep of reads —
-    // sizes chosen to force multi-chunk completions, offsets chosen
-    // to rotate plan keys — must be bit-identical with the cache on
-    // and off: every issue/completion instant, both directions' wire
-    // counters (TLP *and* DLLP streams) and the host's byte ledger.
-    use pcie_bench_repro::link::Direction;
-    use pcie_bench_repro::sim::{SimTime, SplitMix64};
-
-    let p = BenchParams {
-        window: 256 * 1024,
-        transfer: 2048,
-        ..params()
-    };
-    let setup = BenchSetup::nfp6000_hsw();
-    let run = |cache_enabled: bool| {
-        let (mut platform, buf) = setup.build(&p);
-        platform.set_plan_cache_enabled(cache_enabled);
-        let mut rng = SplitMix64::new(0x9d15_ab1e);
-        let mut want = SimTime::ZERO;
-        let mut trace = Vec::new();
-        for _ in 0..300 {
-            // Unaligned offsets and odd lengths exercise every split
-            // family: single-chunk, RCB-straddling and MPS-bounded.
-            let off = rng.range(0, p.window - 4096);
-            let len = rng.range(1, 2049) as u32;
-            let r = platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine);
-            want = r.done + SimTime::from_ns(60);
-            trace.push((r.issued, r.done, r.absorbed));
-        }
-        let up = *platform.link().counters(Direction::Upstream);
-        let down = *platform.link().counters(Direction::Downstream);
-        (trace, up, down, platform.host.stats())
-    };
-    let enabled = run(true);
-    let disabled = run(false);
-    assert_eq!(enabled.0, disabled.0, "issue/completion trace diverged");
-    assert_eq!(enabled.1, disabled.1, "upstream wire counters diverged");
-    assert_eq!(enabled.2, disabled.2, "downstream wire counters diverged");
-    assert_eq!(enabled.3, disabled.3, "host byte ledger diverged");
-}
-
-#[test]
 fn e3_tail_is_reproducible() {
     // Even the heavy-tailed E3 model must replay exactly.
     let setup = BenchSetup::nfp6000_hsw_e3();

@@ -7,41 +7,15 @@
 //! its telemetry snapshot JSON into an FNV-1a digest. A refactor of a
 //! serving engine must leave every digest unchanged.
 
+mod common;
+
+use common::Fnv;
 use pcie_bench_repro::bench::BenchSetup;
 use pcie_bench_repro::drivers::{DriverConfig, DriverSim, OfferedLoad, PATTERNS};
 use pcie_bench_repro::flows::{FlowEngine, FlowEngineConfig, TrafficProfile};
 use pcie_bench_repro::par::Pool;
 use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile};
 use pcie_telemetry::{DriverStage, RpcStage, Snapshot};
-
-/// FNV-1a over 64-bit words and bytes.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, b: &[u8]) -> &mut Fnv {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    fn word(&mut self, w: u64) -> &mut Fnv {
-        self.bytes(&w.to_le_bytes())
-    }
-
-    fn float(&mut self, f: f64) -> &mut Fnv {
-        self.word(f.to_bits())
-    }
-
-    fn snapshot(&mut self, s: &Snapshot) -> &mut Fnv {
-        self.bytes(s.to_json().as_bytes())
-    }
-}
 
 const DRIVER_STAGES: [DriverStage; 6] = [
     DriverStage::RxDma,
