@@ -64,7 +64,7 @@ fn write_bw_gbps(p: &mut MultiPlatform, sz: u32, txns: usize) -> f64 {
     let window = pcie_device::BAR_WINDOW - sz as u64;
     let mut last = SimTime::ZERO;
     for i in 0..txns {
-        let off = (i as u64 * 4096) % window & !63;
+        let off = ((i as u64 * 4096) % window) & !63;
         let r = p.p2p_write(0, 1, SimTime::ZERO, off, sz);
         last = last.max(r.absorbed);
     }

@@ -44,7 +44,7 @@ fn run(devices: usize, sw_cfg: SwitchConfig, txns: usize) -> (f64, f64, MultiPla
     let mut last_all = SimTime::ZERO;
     for i in 0..txns {
         // MPS-aligned so every write splits into exactly Eq.1's chunks.
-        let off = (i as u64 * 4096) % (WINDOW - SZ as u64) & !4095;
+        let off = ((i as u64 * 4096) % (WINDOW - SZ as u64)) & !4095;
         for (d, b) in bufs.iter().enumerate() {
             let r = p.dma_write(d, SimTime::ZERO, b, off, SZ, DmaPath::DmaEngine);
             if d == 0 {

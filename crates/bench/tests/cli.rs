@@ -17,6 +17,7 @@ fn bad_input_exits_2() {
         &["LAT_RD", "--path", "cmdif", "--size", "256"][..],
         &["BW_RD", "--path", "cmdif", "--size", "256"],
         &["LAT_RD", "--system", "netfpga-hsw", "--path", "cmdif"],
+        &["LAT_RD", "--window", "2048m"],
         &["LAT_RD", "--window", "1048576m"],
         &["LAT_RD", "--window", "99999999999999m"],
         &["LAT_RD", "--no-such-flag"],

@@ -22,22 +22,10 @@ pub struct AccessSequence {
 impl AccessSequence {
     /// Builds the sequence for `params`, seeded for reproducibility.
     pub fn new(params: &BenchParams, seed: u64) -> Self {
-        Self::with_buffer(params, seed, Vec::new())
-    }
-
-    /// Like [`AccessSequence::new`], but recycles a previously used
-    /// order buffer ([`AccessSequence::into_buffer`]) instead of
-    /// allocating a fresh one — a 64 MiB window with 64 B units
-    /// enumerates a million entries, which the full-suite driver
-    /// would otherwise reallocate for every one of its thousands of
-    /// tests. The produced sequence is bit-identical to `new`'s:
-    /// buffer reuse only recycles capacity, never contents.
-    pub fn with_buffer(params: &BenchParams, seed: u64, mut order: Vec<u32>) -> Self {
         params.validate().expect("invalid bench params");
         let units = params.units();
         assert!(units <= u32::MAX as u64, "window too large to enumerate");
-        order.clear();
-        order.extend(0..units as u32);
+        let mut order: Vec<u32> = (0..units as u32).collect();
         let mut rng = SplitMix64::new(seed);
         if params.pattern == Pattern::Random {
             rng.shuffle(&mut order);
@@ -50,12 +38,6 @@ impl AccessSequence {
             pattern: params.pattern,
             rng,
         }
-    }
-
-    /// Consumes the sequence, handing back its order buffer for reuse
-    /// via [`AccessSequence::with_buffer`].
-    pub fn into_buffer(self) -> Vec<u32> {
-        self.order
     }
 
     /// Next buffer offset to DMA to/from.
@@ -153,24 +135,6 @@ mod tests {
         let s1: BTreeSet<u64> = pass1.into_iter().collect();
         let s2: BTreeSet<u64> = pass2.into_iter().collect();
         assert_eq!(s1, s2, "same coverage");
-    }
-
-    #[test]
-    fn recycled_buffer_changes_nothing() {
-        // A dirty buffer from a *different* geometry must yield the
-        // same sequence as a fresh allocation.
-        let small = params(64, 0, Pattern::Random);
-        let big = params(8, 4, Pattern::Random);
-        let dirty = AccessSequence::new(&big, 99).into_buffer();
-        let fresh: Vec<u64> = {
-            let mut s = AccessSequence::new(&small, 7);
-            (0..300).map(|_| s.next_offset()).collect()
-        };
-        let recycled: Vec<u64> = {
-            let mut s = AccessSequence::with_buffer(&small, 7, dirty);
-            (0..300).map(|_| s.next_offset()).collect()
-        };
-        assert_eq!(fresh, recycled);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Result analysis: comparisons and bottleneck attribution.
+//! Result analysis: bottleneck attribution.
 //!
-//! The paper's figures 8 and 9 are *percentage-change* plots between
-//! two configurations; §7's engineering guidance comes from knowing
-//! *which* stage limits a configuration. This module provides both:
-//! [`percent_change`] / [`compare_sweeps`] for the former, and
-//! [`bottleneck_report`] — which re-runs a bandwidth configuration and
-//! inspects every shared stage's occupancy and queueing — for the
-//! latter.
+//! §7's engineering guidance comes from knowing *which* stage limits a
+//! configuration. [`bottleneck_report`] re-runs a bandwidth
+//! configuration and inspects every shared stage's occupancy and
+//! queueing.
 
 use crate::access::AccessSequence;
 use crate::params::BenchParams;
@@ -14,25 +11,6 @@ use crate::setup::BenchSetup;
 use pcie_device::DmaPath;
 use pcie_link::Direction;
 use pcie_sim::SimTime;
-
-/// Percentage change from `base` to `new` (−100..∞).
-pub fn percent_change(base: f64, new: f64) -> f64 {
-    assert!(base > 0.0, "baseline must be positive");
-    (new / base - 1.0) * 100.0
-}
-
-/// Pairs two `(x, value)` sweeps that share an x grid into
-/// `(x, %change)` — the shape of Figures 8 and 9.
-pub fn compare_sweeps(base: &[(u32, f64)], new: &[(u32, f64)]) -> Vec<(u32, f64)> {
-    assert_eq!(base.len(), new.len(), "sweeps must share the x grid");
-    base.iter()
-        .zip(new)
-        .map(|(&(xb, vb), &(xn, vn))| {
-            assert_eq!(xb, xn, "sweeps must share the x grid");
-            (xb, percent_change(vb, vn))
-        })
-        .collect()
-}
 
 /// Which stage limited a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,29 +139,6 @@ pub fn bottleneck_report(setup: &BenchSetup, params: &BenchParams, n: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percent_change_math() {
-        assert!((percent_change(50.0, 25.0) + 50.0).abs() < 1e-12);
-        assert!((percent_change(50.0, 75.0) - 50.0).abs() < 1e-12);
-        assert_eq!(percent_change(10.0, 10.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "share the x grid")]
-    fn mismatched_sweeps_rejected() {
-        compare_sweeps(&[(64, 1.0)], &[(128, 1.0)]);
-    }
-
-    #[test]
-    fn compare_sweeps_shapes() {
-        let base = vec![(64u32, 40.0), (128, 50.0)];
-        let new = vec![(64u32, 20.0), (128, 50.0)];
-        let d = compare_sweeps(&base, &new);
-        assert_eq!(d[0], (64, -50.0));
-        assert_eq!(d[1].0, 128);
-        assert!(d[1].1.abs() < 1e-12);
-    }
 
     #[test]
     fn nfp_small_reads_attributed_to_tags() {

@@ -5,6 +5,11 @@ use pcie_host::presets::NumaPlacement;
 /// Cache-line size: the granularity the unit size is rounded to.
 pub const CACHE_LINE: u64 = 64;
 
+/// Most units a window may hold. The access order keeps one `u32` per
+/// unit, so this bounds it to 64 MiB: a 1 GiB window at 64 B units,
+/// 8× the largest window any figure or extension sweeps.
+pub const MAX_UNITS: u64 = 1 << 24;
+
 /// Order units are visited in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
@@ -88,13 +93,12 @@ impl BenchParams {
                 self.unit()
             ));
         }
-        if self.units() > u64::from(u32::MAX) {
+        if self.units() > MAX_UNITS {
             return Err(format!(
-                "window {} holds {} units of {}B; at most {} can be enumerated",
+                "window {} holds {} units of {}B; at most {MAX_UNITS} can be enumerated",
                 self.window,
                 self.units(),
                 self.unit(),
-                u32::MAX
             ));
         }
         Ok(())
@@ -147,14 +151,14 @@ mod tests {
             ..BenchParams::baseline(128)
         };
         assert!(p.validate().is_err());
-        // One unit past what an access order can enumerate.
+        // One unit past what an access order may enumerate.
         let p = BenchParams {
-            window: (u64::from(u32::MAX) + 1) * 64,
+            window: (MAX_UNITS + 1) * 64,
             ..BenchParams::baseline(64)
         };
         assert!(p.validate().is_err());
         let p = BenchParams {
-            window: u64::from(u32::MAX) * 64,
+            window: MAX_UNITS * 64,
             ..p
         };
         assert!(p.validate().is_ok());

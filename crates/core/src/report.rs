@@ -1,17 +1,6 @@
 //! Plain-text report formatting (the control programs of §5.4 write
 //! gnuplot-ready columns; so do we).
 
-/// Formats an `(x, y)` series as two aligned columns with a `#` header.
-pub fn format_series(title: &str, xlabel: &str, ylabel: &str, series: &[(u32, f64)]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
-    out.push_str(&format!("# {xlabel:>10} {ylabel:>14}\n"));
-    for (x, y) in series {
-        out.push_str(&format!("{x:>12} {y:>14.3}\n"));
-    }
-    out
-}
-
 /// Formats several named series sharing an x axis, gnuplot-style.
 pub fn format_multi_series(
     title: &str,
@@ -83,15 +72,6 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_format() {
-        let s = format_series("t", "size", "gbps", &[(64, 44.123456), (128, 50.0)]);
-        assert!(s.starts_with("# t\n"));
-        assert!(s.contains("44.123"));
-        assert!(s.contains("50.000"));
-        assert_eq!(s.lines().count(), 4);
-    }
 
     #[test]
     fn multi_series_format() {

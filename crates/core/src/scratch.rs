@@ -6,7 +6,7 @@
 //! (generating the access-order stream and allocating the sample
 //! journal) and the *host-side* LLC line arrays — a 15 MiB cache is
 //! ~250k lines allocated and zeroed per platform. A [`BenchScratch`]
-//! owns the driver buffers, a small [`OrderCache`] of memoised access
+//! owns the driver buffers, a small `OrderCache` of memoised access
 //! sequences, and a [`CacheStorage`] pool of retired line arrays;
 //! each pool worker keeps one and threads it through every test it
 //! executes, so after the largest test in a worker's share has run,

@@ -187,19 +187,6 @@ impl Cdf {
         &self.points
     }
 
-    /// P(X ≤ x), by linear scan.
-    pub fn prob_at(&self, x: f64) -> f64 {
-        let mut p = 0.0;
-        for &(v, q) in &self.points {
-            if v <= x {
-                p = q;
-            } else {
-                break;
-            }
-        }
-        p
-    }
-
     /// Smallest recorded value with cumulative probability ≥ `q`.
     pub fn value_at(&self, q: f64) -> f64 {
         for &(v, p) in &self.points {
@@ -368,8 +355,6 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(pts.last().unwrap().1, 1.0);
-        assert!(c.prob_at(-1.0) == 0.0);
-        assert_eq!(c.prob_at(2000.0), 1.0);
         assert!(c.value_at(0.5) >= 400.0 && c.value_at(0.5) <= 600.0);
     }
 

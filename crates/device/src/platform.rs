@@ -79,11 +79,6 @@ const NONPOSTED_HDR_CREDITS: usize = 64;
 /// serialisation.
 pub type Fabric<'a> = Option<(&'a mut Switch, usize)>;
 
-/// Reborrows a fabric so it can be threaded through several calls.
-fn reborrow<'b>(fab: &'b mut Fabric<'_>) -> Fabric<'b> {
-    fab.as_mut().map(|(sw, port)| (&mut **sw, *port))
-}
-
 /// How peer-to-peer memory TLPs travel between two devices (§9
 /// future-work configuration; see DESIGN.md §9).
 pub enum P2pRoute<'a> {
@@ -405,35 +400,18 @@ impl DeviceEngine {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
-        self.dma_write_read_via(host, None, want, buf, offset, len, path)
-    }
-
-    /// `LAT_WRRD` through an explicit fabric (`None` = flat attach,
-    /// identical to [`DeviceEngine::dma_write_read`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn dma_write_read_via(
-        &mut self,
-        host: &mut HostSystem,
-        mut fab: Fabric<'_>,
-        want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
-        len: u32,
-        path: DmaPath,
-    ) -> DmaResult {
         let issued = self.workers.acquire(want);
-        let (write_done, _) =
-            self.write_inner_via(host, reborrow(&mut fab), issued, buf, offset, len, path);
+        let (write_done, _) = self.write_inner_via(host, None, issued, buf, offset, len, path);
         // The read descriptor follows the write into the queue.
         let read = match path {
             DmaPath::DmaEngine => {
                 let prep = write_done.max(issued + self.dev.dma_issue_overhead);
                 let t0 = self.issue_port.reserve(prep, self.dev.issue_gap).end;
                 // The read's Issue stage absorbs the preceding write.
-                self.read_after_via(host, fab, issued, t0, buf, offset, len, path)
+                self.read_after_via(host, None, issued, t0, buf, offset, len, path)
             }
             DmaPath::CommandIf => {
-                self.read_after_via(host, fab, issued, write_done, buf, offset, len, path)
+                self.read_after_via(host, None, issued, write_done, buf, offset, len, path)
             }
         };
         self.workers.release_at(read);
@@ -931,16 +909,6 @@ impl DeviceEngine {
         )
     }
 
-    /// When the DMA-engine issue port next idles.
-    pub fn issue_busy_until(&self) -> SimTime {
-        self.issue_port.busy_until()
-    }
-
-    /// Accumulated busy time of the DMA-engine issue port.
-    pub fn issue_busy_time(&self) -> SimTime {
-        self.issue_port.busy_time()
-    }
-
     /// The engine's counters as telemetry groups: `device.engine`
     /// (DMA counts, issue-port occupancy/queueing) and `device.gates`
     /// (per-gate acquire/stall/wait — the tag window and the
@@ -1083,16 +1051,6 @@ impl Platform {
     /// non-posted credits) — bottleneck diagnostics.
     pub fn gate_waits(&self) -> (SimTime, SimTime, SimTime, SimTime) {
         self.engine.gate_waits()
-    }
-
-    /// When the DMA-engine issue port next idles.
-    pub fn issue_busy_until(&self) -> SimTime {
-        self.engine.issue_busy_until()
-    }
-
-    /// Accumulated busy time of the DMA-engine issue port.
-    pub fn issue_busy_time(&self) -> SimTime {
-        self.engine.issue_busy_time()
     }
 
     /// Issues a DMA read of `[offset, offset+len)` from `buf`, wanted

@@ -197,13 +197,6 @@ impl DriverConfig {
         self
     }
 
-    /// With different IRQ coalescing thresholds.
-    pub fn with_coalescing(mut self, frames: u32, usecs: u32) -> Self {
-        self.irq_coalesce_frames = frames;
-        self.irq_coalesce_usecs = usecs;
-        self
-    }
-
     /// Checks the knobs are usable.
     pub fn validate(&self) -> Result<(), String> {
         for (name, v) in [
@@ -254,15 +247,22 @@ mod tests {
 
     #[test]
     fn bad_knobs_rejected() {
-        let mut cfg = DriverConfig::default();
-        cfg.ring_size = 1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DriverConfig::default();
-        cfg.xdp_drop_frac = 1.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = DriverConfig::default();
-        cfg.load = OfferedLoad::OpenLoopGbps(0.0);
-        assert!(cfg.validate().is_err());
+        for cfg in [
+            DriverConfig {
+                ring_size: 1,
+                ..DriverConfig::default()
+            },
+            DriverConfig {
+                xdp_drop_frac: 1.5,
+                ..DriverConfig::default()
+            },
+            DriverConfig {
+                load: OfferedLoad::OpenLoopGbps(0.0),
+                ..DriverConfig::default()
+            },
+        ] {
+            assert!(cfg.validate().is_err());
+        }
     }
 
     #[test]

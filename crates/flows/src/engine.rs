@@ -119,11 +119,6 @@ impl FlowRunReport {
         self.queues.iter().map(|q| q.counters.dropped).sum()
     }
 
-    /// Payload bytes delivered across all queues.
-    pub fn bytes_delivered(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.bytes_delivered).sum()
-    }
-
     /// Offered rate over the generation window, Mpps.
     pub fn offered_mpps(&self) -> f64 {
         let secs = self.window.as_secs_f64();
@@ -139,15 +134,6 @@ impl FlowRunReport {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
             self.delivered() as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Delivered payload rate over the drain time, Gb/s.
-    pub fn delivered_gbps(&self) -> f64 {
-        if self.elapsed > SimTime::ZERO {
-            self.bytes_delivered() as f64 * 8.0 / self.elapsed.as_ns_f64()
         } else {
             0.0
         }

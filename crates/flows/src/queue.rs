@@ -488,14 +488,21 @@ mod tests {
 
     #[test]
     fn service_model_validation() {
-        let mut m = ServiceModel::default();
-        m.ring_size = 1;
-        assert!(m.validate().is_err());
-        let mut m = ServiceModel::default();
-        m.burst = 0;
-        assert!(m.validate().is_err());
-        let mut m = ServiceModel::default();
-        m.poll_iter = SimTime::ZERO;
-        assert!(m.validate().is_err());
+        for m in [
+            ServiceModel {
+                ring_size: 1,
+                ..ServiceModel::default()
+            },
+            ServiceModel {
+                burst: 0,
+                ..ServiceModel::default()
+            },
+            ServiceModel {
+                poll_iter: SimTime::ZERO,
+                ..ServiceModel::default()
+            },
+        ] {
+            assert!(m.validate().is_err());
+        }
     }
 }

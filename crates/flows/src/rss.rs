@@ -51,18 +51,6 @@ impl RssKey {
         RssKey { bytes }
     };
 
-    /// A random-looking key derived deterministically from `seed`
-    /// (for experiments that want per-run key diversity without
-    /// giving up reproducibility).
-    pub fn from_seed(seed: u64) -> RssKey {
-        let mut rng = SplitMix64::new(seed);
-        let mut bytes = [0u8; 40];
-        for chunk in bytes.chunks_mut(8) {
-            chunk.copy_from_slice(&rng.next_u64().to_be_bytes());
-        }
-        RssKey { bytes }
-    }
-
     /// The raw key bytes.
     pub fn bytes(&self) -> &[u8; 40] {
         &self.bytes
@@ -295,11 +283,5 @@ mod tests {
         for (q, &n) in hit.iter().enumerate() {
             assert!(n > 500, "queue {q} starved: {hit:?}");
         }
-    }
-
-    #[test]
-    fn seeded_keys_reproduce_and_differ() {
-        assert_eq!(RssKey::from_seed(11), RssKey::from_seed(11));
-        assert_ne!(RssKey::from_seed(11), RssKey::from_seed(12));
     }
 }

@@ -66,19 +66,6 @@ fn key_of(tag: u64, dirty: bool) -> u64 {
     tag << 2 | u64::from(dirty) << 1 | PRESENT
 }
 
-/// 16-bit scan digest of a line tag (multiplicative hash, top bits).
-///
-/// Probes scan a set's digests — 2 B per way instead of the 8 B key —
-/// and load the full key only on a digest match, so the dominant
-/// read-miss case touches a quarter of the bytes. A match is only a
-/// *candidate*: the key + epoch check still decides, so hash
-/// collisions and stale (dead-epoch) digests cost an extra load, never
-/// a wrong outcome.
-#[inline]
-fn digest_of(tag: u64) -> u16 {
-    (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u16
-}
-
 /// Recycled line-buffer pool shared by successive [`LlcCache`]s.
 ///
 /// Building a 15 MiB cache means allocating and zeroing ~250k lines;
@@ -88,7 +75,7 @@ fn digest_of(tag: u64) -> u16 {
 /// so the recycled contents are dead on arrival and need no zeroing.
 #[derive(Debug, Default)]
 pub struct CacheStorage {
-    bufs: Vec<(Vec<u64>, Vec<u64>, Vec<u16>)>,
+    bufs: Vec<(Vec<u64>, Vec<u64>)>,
     stamp: u64,
 }
 
@@ -128,11 +115,6 @@ pub struct LlcCache {
     keys: Vec<u64>,
     /// Per-line LRU stamp (also the validity epoch carrier).
     lru: Vec<u64>,
-    /// Per-line [`digest_of`] the tag in `keys` — the array probes
-    /// actually scan. Never authoritative: a digest match is confirmed
-    /// against `keys`/`lru`, so stale or colliding digests are
-    /// harmless. Indexed identically to `keys`.
-    digests: Vec<u16>,
     n_sets: usize,
     ways: usize,
     ddio_ways: usize,
@@ -176,10 +158,9 @@ impl LlcCache {
             lines >= ways && lines.is_multiple_of(ways),
             "cache size must be a multiple of ways*64B"
         );
-        let (mut keys, mut lru, mut digests) = pool.bufs.pop().unwrap_or_default();
+        let (mut keys, mut lru) = pool.bufs.pop().unwrap_or_default();
         keys.resize(lines, 0);
         lru.resize(lines, 0);
-        digests.resize(lines, 0);
         let stamp = pool.stamp;
         let n_sets = lines / ways;
         let set_shift = (n_sets as u64).trailing_zeros();
@@ -187,7 +168,6 @@ impl LlcCache {
         LlcCache {
             keys,
             lru,
-            digests,
             n_sets,
             ways,
             ddio_ways,
@@ -214,7 +194,6 @@ impl LlcCache {
         pool.bufs.push((
             std::mem::take(&mut self.keys),
             std::mem::take(&mut self.lru),
-            std::mem::take(&mut self.digests),
         ));
         self.n_sets = 0;
     }
@@ -272,20 +251,18 @@ impl LlcCache {
 
     /// DMA read of one line.
     pub fn dma_read(&mut self, addr: u64) -> ReadOutcome {
-        let tag = addr / LINE;
-        let want = key_of(tag, true);
-        let d = digest_of(tag);
+        let want = key_of(addr / LINE, true);
         let (lo, hi) = self.set_range(addr);
         let epoch = self.epoch;
         let stamp = self.tick();
-        // Digest candidates only; stale (dead-epoch) or colliding
-        // entries are rejected by the key + stamp confirmation, loaded
-        // only on a digest match. The subslice iteration keeps the
-        // dominant all-miss scan free of per-way bounds checks.
-        for (off, &dg) in self.digests[lo..hi].iter().enumerate() {
-            if dg == d {
+        // A stale (dead-epoch) key may carry the probed tag, so a key
+        // match still confirms the stamp, loaded only then. The
+        // subslice iteration keeps the dominant all-miss scan free of
+        // per-way bounds checks.
+        for (off, &k) in self.keys[lo..hi].iter().enumerate() {
+            if (k | DIRTY) == want {
                 let i = lo + off;
-                if (self.keys[i] | DIRTY) == want && self.lru[i] >= epoch {
+                if self.lru[i] >= epoch {
                     self.lru[i] = stamp;
                     self.stats.read_hits += 1;
                     return ReadOutcome::Hit;
@@ -303,25 +280,23 @@ impl LlcCache {
         let (lo, hi) = self.set_range(addr);
         let epoch = self.epoch;
         let stamp = self.tick();
-        let d = digest_of(tag);
         if self.ddio_ways == 0 {
             // No DDIO: the DMA write goes to memory; a resident copy is
             // *invalidated* (classic coherent-DMA behaviour before
             // Data Direct I/O).
-            for (off, &dg) in self.digests[lo..hi].iter().enumerate() {
-                let i = lo + off;
-                if dg == d && (self.keys[i] | DIRTY) == want && self.lru[i] >= epoch {
+            for i in lo..hi {
+                if (self.keys[i] | DIRTY) == want && self.lru[i] >= epoch {
                     self.keys[i] &= !PRESENT;
                 }
             }
             self.stats.write_uncached += 1;
             return WriteOutcome::Uncached;
         }
-        // Hit detection over the whole set, on digests.
-        for (off, &dg) in self.digests[lo..hi].iter().enumerate() {
-            if dg == d {
+        // Hit detection over the whole set.
+        for (off, &k) in self.keys[lo..hi].iter().enumerate() {
+            if (k | DIRTY) == want {
                 let i = lo + off;
-                if (self.keys[i] | DIRTY) == want && self.lru[i] >= epoch {
+                if self.lru[i] >= epoch {
                     // Hit anywhere in the set: update in place.
                     self.lru[i] = stamp;
                     self.keys[i] |= DIRTY;
@@ -351,7 +326,6 @@ impl LlcCache {
         let evict_dirty = vkey & PRESENT != 0 && self.lru[victim] >= epoch && vkey & DIRTY != 0;
         self.keys[victim] = key_of(tag, true);
         self.lru[victim] = stamp;
-        self.digests[victim] = d;
         if evict_dirty {
             self.stats.write_dirty_evictions += 1;
             WriteOutcome::AllocatedDirtyEviction
@@ -394,7 +368,6 @@ impl LlcCache {
         }
         self.keys[victim] = key_of(tag, dirty);
         self.lru[victim] = stamp;
-        self.digests[victim] = digest_of(tag);
     }
 
     /// Bulk CPU-side warm of the line range `[start_line, end_line]`
@@ -457,7 +430,6 @@ impl LlcCache {
                 let stamp = stamp0 + (line - start_line) + 1;
                 self.keys[lo + j as usize] = key_of(line, dirty);
                 self.lru[lo + j as usize] = stamp;
-                self.digests[lo + j as usize] = digest_of(line);
             }
         }
         self.stamp = stamp0 + total;
@@ -482,11 +454,6 @@ impl LlcCache {
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics only.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -750,8 +717,6 @@ mod tests {
         assert_eq!(s.read_hits, 1);
         assert_eq!(s.write_allocs, 1);
         assert_eq!(s.write_hits, 1);
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

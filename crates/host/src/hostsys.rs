@@ -182,16 +182,6 @@ impl HostSystem {
         self.nodes[node].dram.traffic()
     }
 
-    /// Accumulated busy time of the root-complex service pipe.
-    pub fn rc_busy_time(&self) -> SimTime {
-        self.rc.busy_time()
-    }
-
-    /// When the root-complex service pipe next idles.
-    pub fn rc_busy_until(&self) -> SimTime {
-        self.rc.busy_until()
-    }
-
     fn is_remote(&self, node: usize) -> bool {
         node != self.device_node
     }

@@ -37,30 +37,12 @@ impl WireCounters {
         }
     }
 
-    /// Payload efficiency: useful bytes / wire bytes.
-    pub fn payload_efficiency(&self) -> f64 {
-        let total = self.wire_bytes();
-        if total == 0 {
-            0.0
-        } else {
-            self.payload_bytes as f64 / total as f64
-        }
-    }
-
     /// Payload throughput in bits/s over `elapsed`.
     pub fn payload_bw(&self, elapsed: SimTime) -> f64 {
         if elapsed == SimTime::ZERO {
             return 0.0;
         }
         self.payload_bytes as f64 * 8.0 / elapsed.as_secs_f64()
-    }
-
-    /// Wire throughput in bits/s over `elapsed`.
-    pub fn wire_bw(&self, elapsed: SimTime) -> f64 {
-        if elapsed == SimTime::ZERO {
-            return 0.0;
-        }
-        self.wire_bytes() as f64 * 8.0 / elapsed.as_secs_f64()
     }
 }
 
@@ -79,7 +61,6 @@ mod tests {
         };
         assert_eq!(c.wire_bytes(), 1000);
         assert!((c.dll_overhead_fraction() - 0.1).abs() < 1e-12);
-        assert!((c.payload_efficiency() - 0.64).abs() < 1e-12);
     }
 
     #[test]
@@ -99,6 +80,5 @@ mod tests {
     fn empty_counters_safe() {
         let c = WireCounters::default();
         assert_eq!(c.dll_overhead_fraction(), 0.0);
-        assert_eq!(c.payload_efficiency(), 0.0);
     }
 }

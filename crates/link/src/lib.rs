@@ -10,19 +10,17 @@
 //! observation that NetFPGA write throughput slightly *exceeds* the
 //! model, §6.1), while bi-directional traffic pays the full cost.
 //!
-//! The crate also provides [`credits::CreditPool`] — flow-control
-//! credit accounting for posted/non-posted/completion classes — used by
-//! the device layer to model receiver-buffer backpressure.
+//! The link carries UpdateFC DLLPs but keeps no credit limits:
+//! flow-control back-pressure lives in `pcie-device`, whose `DeviceEngine`
+//! holds posted and non-posted header credits as `SlotGate`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod credits;
 pub mod link;
 
 pub use counters::WireCounters;
-pub use credits::CreditPool;
 pub use link::{Link, LinkTiming};
 
 /// A link direction, re-exported from the model crate so the whole

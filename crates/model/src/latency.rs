@@ -25,49 +25,6 @@ pub fn required_inflight_dmas(dma_latency_ns: f64, line_rate: f64, frame_size: u
     (dma_latency_ns / ipt).ceil() as u32
 }
 
-/// An analytical end-to-end DMA-read latency budget: the §3 model's
-/// latency-side counterpart, used to sanity-check the simulator and to
-/// reason about Figure 5's composition. All constants in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyBudget {
-    /// Device-side issue overhead (descriptor prep + enqueue).
-    pub device_issue_ns: f64,
-    /// Device-side completion handling.
-    pub device_complete_ns: f64,
-    /// Device-internal staging copy: fixed part.
-    pub staging_fixed_ns: f64,
-    /// Device-internal staging copy: per byte.
-    pub staging_per_byte_ns: f64,
-    /// One-way link propagation/pipeline (paid twice).
-    pub propagation_ns: f64,
-    /// Root-complex pipeline + memory access (LLC or DRAM).
-    pub host_ns: f64,
-    /// The link configuration (serialisation times).
-    pub link: crate::config::LinkConfig,
-}
-
-impl LatencyBudget {
-    /// Predicted `LAT_RD` for a transfer of `sz` bytes: issue, request
-    /// serialisation, flight, host service, completion serialisation
-    /// (the whole completion stream must arrive), flight back, staging,
-    /// completion handling.
-    pub fn lat_rd_ns(&self, sz: u32) -> f64 {
-        let wire_rate = self.link.phys_bw(); // bits/s
-        let req_bytes = crate::bandwidth::dma_read_request_bytes(&self.link, sz) as f64;
-        let cpl_bytes = crate::bandwidth::dma_read_completion_bytes(&self.link, sz) as f64;
-        let ser = |bytes: f64| bytes * 8.0 / wire_rate * 1e9;
-        self.device_issue_ns
-            + ser(req_bytes)
-            + self.propagation_ns
-            + self.host_ns
-            + ser(cpl_bytes)
-            + self.propagation_ns
-            + self.staging_fixed_ns
-            + self.staging_per_byte_ns * sz as f64
-            + self.device_complete_ns
-    }
-}
-
 /// Per-DMA cycle budget: how many device clock cycles may be spent on
 /// each DMA (issue + bookkeeping) at line rate, given `workers`
 /// processing elements (§7's "cycle budget" calculation).
@@ -106,28 +63,6 @@ mod tests {
         let b96 = cycle_budget(40e9, 128, 1.2e9, 96);
         assert!((b96 / b1 - 96.0).abs() < 1e-9);
         assert!((b1 - 35.52).abs() < 0.1, "{b1}");
-    }
-
-    #[test]
-    fn latency_budget_composition() {
-        use crate::config::LinkConfig;
-        // NetFPGA-class numbers (cf. pcie-device presets / host presets).
-        let b = LatencyBudget {
-            device_issue_ns: 8.0,
-            device_complete_ns: 8.0,
-            staging_fixed_ns: 0.0,
-            staging_per_byte_ns: 0.0,
-            propagation_ns: 150.0,
-            host_ns: 100.0,
-            link: LinkConfig::gen3_x8(),
-        };
-        let l64 = b.lat_rd_ns(64);
-        // 8 + ~3 + 150 + 100 + ~10.7 + 150 + 8 ≈ 430ns.
-        assert!((l64 - 430.0).abs() < 15.0, "{l64}");
-        // Strictly increasing in transfer size; the 2048B prediction is
-        // dominated by completion serialisation (~270ns more).
-        let l2048 = b.lat_rd_ns(2048);
-        assert!(l2048 > l64 + 200.0 && l2048 < l64 + 350.0, "{l2048}");
     }
 
     #[test]

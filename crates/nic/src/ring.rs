@@ -103,16 +103,6 @@ impl DescriptorRing {
         self.max_used = self.max_used.max(self.used());
     }
 
-    /// Consumer: inspects up to `n` used slots *without* consuming
-    /// them, in order — what a polling driver does when it checks
-    /// write-back descriptors in host memory before committing to a
-    /// burst. `out` is cleared, then filled.
-    pub fn peek_into(&self, n: u32, out: &mut Vec<u32>) {
-        out.clear();
-        let take = n.min(self.used());
-        out.extend((0..take).map(|i| (self.head + i) % self.capacity));
-    }
-
     /// Consumer: releases up to `n` used slots; returns the indices
     /// consumed, in order.
     pub fn consume(&mut self, n: u32) -> Vec<u32> {
@@ -223,18 +213,6 @@ mod tests {
         assert_eq!(c, vec![0, 1]);
         assert_eq!(r.used(), 1);
         assert_eq!(r.free(), 6);
-    }
-
-    #[test]
-    fn peek_sees_without_consuming() {
-        let b = buf();
-        let mut r = DescriptorRing::new(&b, 0, 16, 8);
-        r.produce(3);
-        let mut seen = vec![99];
-        r.peek_into(5, &mut seen);
-        assert_eq!(seen, vec![0, 1, 2], "peek caps at used and clears");
-        assert_eq!(r.used(), 3, "peek does not advance head");
-        assert_eq!(r.consume(3), vec![0, 1, 2]);
     }
 
     #[test]

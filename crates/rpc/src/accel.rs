@@ -69,11 +69,17 @@ mod tests {
 
     #[test]
     fn validation_catches_nonsense() {
-        let mut m = AccelModel::default();
-        m.cores = 0;
-        assert!(m.validate().is_err());
-        let mut m = AccelModel::default();
-        m.service = SimTime::ZERO;
-        assert!(m.validate().is_err());
+        for m in [
+            AccelModel {
+                cores: 0,
+                ..AccelModel::default()
+            },
+            AccelModel {
+                service: SimTime::ZERO,
+                ..AccelModel::default()
+            },
+        ] {
+            assert!(m.validate().is_err());
+        }
     }
 }

@@ -445,8 +445,10 @@ mod tests {
     use pcie_telemetry::StageSet;
 
     fn sim(datapath: Datapath) -> RpcQueueSim {
-        let mut cfg = RpcEngineConfig::default();
-        cfg.datapath = datapath;
+        let cfg = RpcEngineConfig {
+            datapath,
+            ..RpcEngineConfig::default()
+        };
         RpcQueueSim::new(
             0,
             cfg.nic,
@@ -529,12 +531,18 @@ mod tests {
 
     #[test]
     fn nic_model_validation() {
-        let mut m = NicModel::default();
-        m.ring = 1;
-        assert!(m.validate().is_err());
-        let mut m = NicModel::default();
-        m.wire_gbps = 0.0;
-        assert!(m.validate().is_err());
+        for m in [
+            NicModel {
+                ring: 1,
+                ..NicModel::default()
+            },
+            NicModel {
+                wire_gbps: 0.0,
+                ..NicModel::default()
+            },
+        ] {
+            assert!(m.validate().is_err());
+        }
         NicModel::default().validate().unwrap();
     }
 }

@@ -4,11 +4,9 @@
 //! reproduction: a picosecond-resolution clock ([`SimTime`]), a
 //! FIFO-tie-broken event queue ([`EventQueue`], a hierarchical timing
 //! wheel), busy-until resource timelines ([`Timeline`]) for modelling
-//! serial resources such as PCIe link directions, a slab allocator
-//! with generation-checked handles ([`Arena`]) for per-packet records,
-//! a deterministic hasher ([`hash::FxHashMap`]) for hot-path maps, and
-//! a small, seedable, portable RNG ([`SplitMix64`]) so that every
-//! simulation run is bit-for-bit reproducible.
+//! serial resources such as PCIe link directions, and a small,
+//! seedable, portable RNG ([`SplitMix64`]) so that every simulation
+//! run is bit-for-bit reproducible.
 //!
 //! The engine is deliberately synchronous and single-threaded: the
 //! simulated systems (PCIe links, DMA engines, root complexes) are
@@ -36,14 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod timeline;
 
-pub use arena::{Arena, Handle};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use time::SimTime;

@@ -11,11 +11,11 @@
 //! used by OS timer subsystems), chosen over a binary heap because the
 //! simulator's schedules are overwhelmingly near-future and bursty:
 //!
-//! * Time is quantised into *ticks* of 2^[`TICK_SHIFT`] ps (≈4 ns).
+//! * Time is quantised into *ticks* of 2^`TICK_SHIFT` ps (≈4 ns).
 //!   Events inside one tick are ordered exactly by their stored
 //!   `(time, seq)` key, so the quantisation affects placement only,
 //!   never ordering.
-//! * [`LEVELS`] wheel levels of [`SLOTS`] slots each. Level *k* holds
+//! * `LEVELS` wheel levels of `SLOTS` slots each. Level *k* holds
 //!   events that share the cursor's level-*(k+1)* frame but not its
 //!   level-*k* frame, indexed by bits `k*SLOT_BITS..` of the tick.
 //!   Because frames are aligned, slot indices never wrap: within a

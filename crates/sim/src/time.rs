@@ -86,12 +86,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Value in microseconds as a float.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Value in seconds as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

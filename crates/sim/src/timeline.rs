@@ -19,11 +19,6 @@ pub struct Timeline {
     busy_accum: SimTime,
     reservations: u64,
     queue_accum: SimTime,
-    /// Per-reservation `(arrival, start, end)` log; only populated
-    /// after [`Timeline::enable_recording`] — recording every
-    /// reservation of a saturated link would otherwise cost a `Vec`
-    /// push per TLP.
-    recorded: Option<Vec<(SimTime, SimTime, SimTime)>>,
 }
 
 /// The outcome of a reservation: when service started and completed.
@@ -33,13 +28,6 @@ pub struct Reservation {
     pub start: SimTime,
     /// When the request finished occupying the resource.
     pub end: SimTime,
-}
-
-impl Reservation {
-    /// Time spent waiting for the resource before service began.
-    pub fn queueing_delay(&self, arrival: SimTime) -> SimTime {
-        self.start.saturating_sub(arrival)
-    }
 }
 
 impl Timeline {
@@ -57,24 +45,7 @@ impl Timeline {
         self.busy_accum += duration;
         self.reservations += 1;
         self.queue_accum += start.saturating_sub(arrival);
-        if let Some(log) = &mut self.recorded {
-            log.push((arrival, start, end));
-        }
         Reservation { start, end }
-    }
-
-    /// Starts logging every subsequent reservation's
-    /// `(arrival, start, end)` triple; see [`Timeline::recorded`].
-    pub fn enable_recording(&mut self) {
-        if self.recorded.is_none() {
-            self.recorded = Some(Vec::new());
-        }
-    }
-
-    /// The reservation log, empty unless
-    /// [`Timeline::enable_recording`] was called.
-    pub fn recorded(&self) -> &[(SimTime, SimTime, SimTime)] {
-        self.recorded.as_deref().unwrap_or(&[])
     }
 
     /// Total time requests spent queued behind the resource.
@@ -82,23 +53,9 @@ impl Timeline {
         self.queue_accum
     }
 
-    /// Mean queueing delay per reservation, in nanoseconds.
-    pub fn mean_queueing_delay_ns(&self) -> f64 {
-        if self.reservations == 0 {
-            0.0
-        } else {
-            self.queue_accum.as_ps() as f64 / 1000.0 / self.reservations as f64
-        }
-    }
-
     /// The time at which the resource next becomes free.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Whether the resource would be idle for a request arriving at `t`.
-    pub fn idle_at(&self, t: SimTime) -> bool {
-        self.busy_until <= t
     }
 
     /// Total busy time accumulated over all reservations.
@@ -139,7 +96,6 @@ mod tests {
         let r = tl.reserve(ns(100), ns(10));
         assert_eq!(r.start, ns(100));
         assert_eq!(r.end, ns(110));
-        assert_eq!(r.queueing_delay(ns(100)), SimTime::ZERO);
     }
 
     #[test]
@@ -149,7 +105,6 @@ mod tests {
         let r = tl.reserve(ns(10), ns(5));
         assert_eq!(r.start, ns(50));
         assert_eq!(r.end, ns(55));
-        assert_eq!(r.queueing_delay(ns(10)), ns(40));
     }
 
     #[test]
@@ -186,31 +141,14 @@ mod tests {
         tl.reserve(ns(10), ns(5)); // waits 40ns
         tl.reserve(ns(55), ns(5)); // no wait
         assert_eq!(tl.queue_time(), ns(40));
-        assert!((tl.mean_queueing_delay_ns() - 40.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn recording_is_opt_in() {
+    fn reset_idles_the_resource() {
         let mut tl = Timeline::new();
         tl.reserve(ns(0), ns(10));
-        assert!(tl.recorded().is_empty(), "off by default");
-        tl.enable_recording();
-        tl.reserve(ns(5), ns(10));
-        tl.reserve(ns(100), ns(10));
-        assert_eq!(
-            tl.recorded(),
-            &[(ns(5), ns(10), ns(20)), (ns(100), ns(100), ns(110))]
-        );
-    }
-
-    #[test]
-    fn idle_at_and_reset() {
-        let mut tl = Timeline::new();
-        tl.reserve(ns(0), ns(10));
-        assert!(!tl.idle_at(ns(5)));
-        assert!(tl.idle_at(ns(10)));
         tl.reset();
-        assert!(tl.idle_at(SimTime::ZERO));
+        assert_eq!(tl.busy_until(), SimTime::ZERO);
         assert_eq!(tl.busy_time(), SimTime::ZERO);
     }
 }

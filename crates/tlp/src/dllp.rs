@@ -118,11 +118,6 @@ impl Dllp {
     }
 }
 
-/// Data credits (16 B units) needed for `payload_bytes` of TLP payload.
-pub fn data_credits_for(payload_bytes: u32) -> u16 {
-    payload_bytes.div_ceil(16) as u16
-}
-
 /// The modulus of the 12-bit TLP sequence-number space carried by
 /// ACK/NAK DLLPs and the TLP sequence prefix (Eq. 1's 2 B field).
 pub const SEQ_MODULUS: u16 = 1 << 12;
@@ -189,15 +184,6 @@ mod tests {
     #[test]
     fn unknown_type_rejected() {
         assert_eq!(Dllp::from_bytes([0xff, 0, 0, 0]), None);
-    }
-
-    #[test]
-    fn credit_math() {
-        assert_eq!(data_credits_for(0), 0);
-        assert_eq!(data_credits_for(1), 1);
-        assert_eq!(data_credits_for(16), 1);
-        assert_eq!(data_credits_for(17), 2);
-        assert_eq!(data_credits_for(256), 16);
     }
 
     #[test]

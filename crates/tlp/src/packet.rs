@@ -551,6 +551,10 @@ fn request_len_bytes(len_dw: u16, first_be: u8, last_be: u8) -> Result<u32, Erro
         }
         Ok(first_be.count_ones())
     } else {
+        // A last-DW enable names a DW after the first one.
+        if len_dw < 2 {
+            return Err(Error::Malformed);
+        }
         let tail = be_tail(last_be)?;
         Ok((len_dw as u32 - 2) * 4 + (4 - off) + tail)
     }

@@ -189,11 +189,6 @@ impl Switch {
         }
     }
 
-    /// Number of downstream ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// The switch configuration.
     pub fn config(&self) -> &SwitchConfig {
         &self.config

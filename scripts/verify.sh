@@ -23,12 +23,14 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo doc --no-deps (warnings are errors, unconditionally)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+# The root manifest is itself a package, so without --workspace these
+# two would check only the facade crate.
+echo "==> cargo doc --workspace --no-deps (warnings are errors, unconditionally)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --all-targets (warnings are errors)"
-    cargo clippy --all-targets --quiet -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
+    cargo clippy --workspace --all-targets --quiet -- -D warnings
 else
     echo "==> cargo clippy not installed; skipping lint"
 fi

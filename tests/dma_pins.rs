@@ -8,7 +8,8 @@
 //! every `DmaResult` (`issued`, `done`, `absorbed` in ps), both
 //! directions' wire counters, the host's byte ledger and the
 //! telemetry snapshot JSON into an FNV-1a digest. A change to the
-//! datapath must leave every digest unchanged.
+//! datapath must leave every digest unchanged. One more pin drives the
+//! LLC model on its own, on a DDIO host and on a host without DDIO.
 
 mod common;
 
@@ -18,6 +19,7 @@ use pcie_bench_repro::device::platform::DmaResult;
 use pcie_bench_repro::device::{DeviceParams, DmaPath, MultiPlatform, Platform};
 use pcie_bench_repro::fault::{DirFaults, FaultPlan};
 use pcie_bench_repro::host::buffer::BufferAllocator;
+use pcie_bench_repro::host::cache::{CacheStorage, LlcCache, LINE};
 use pcie_bench_repro::host::presets::{HostPreset, NumaPlacement};
 use pcie_bench_repro::host::{HostBuffer, HostSystem, MemStats};
 use pcie_bench_repro::link::{Direction, LinkTiming, WireCounters};
@@ -245,4 +247,77 @@ fn switched_pair_is_pinned() {
         got.push((name, h.0));
     }
     assert_eq!(got, pinned, "switched DMA datapath outputs moved");
+}
+
+/// A seeded stream of DMA reads and writes, CPU touches, bulk warms
+/// and clears on one LLC geometry. Most addresses fall on 64 sets with
+/// more candidate lines per set than ways, so DDIO allocations,
+/// dirty evictions and LRU victims all occur; the rest spread over a
+/// window twice the cache. Between phases the cache's buffers go
+/// through a `CacheStorage` into a new cache, whose probes then meet
+/// the previous phase's dead-epoch keys.
+fn llc_stream(bytes: u64, ways: usize, ddio_ways: usize) -> u64 {
+    const PHASES: usize = 4;
+    const OPS: usize = 12_500;
+    let n_sets = bytes / LINE / ways as u64;
+    let span = 2 * bytes / LINE;
+    let mut rng = SplitMix64::new(0x11c_ca4e);
+    let mut h = Fnv::new();
+    let mut pool = CacheStorage::new();
+    for _ in 0..PHASES {
+        let mut c = LlcCache::new_reusing(bytes, ways, ddio_ways, &mut pool);
+        for _ in 0..OPS {
+            let line = if rng.range(0, 4) == 0 {
+                rng.range(0, span)
+            } else {
+                rng.range(0, 64) + rng.range(0, 2 * ways as u64 + 8) * n_sets
+            };
+            let addr = line * LINE + rng.range(0, LINE);
+            match rng.range(0, 1000) {
+                0..350 => {
+                    h.word(c.dma_read(addr) as u64);
+                }
+                350..650 => {
+                    h.word(c.dma_write(addr) as u64);
+                }
+                650..998 => c.host_touch(addr, rng.range(0, 2) == 1),
+                998 => {
+                    let count = if rng.range(0, 2) == 0 {
+                        rng.range(1, 4096)
+                    } else {
+                        rng.range(1, 6 * n_sets)
+                    };
+                    let start = rng.range(0, span);
+                    c.warm_lines(start, start + count - 1, rng.range(0, 2) == 1);
+                }
+                _ => c.clear(),
+            }
+        }
+        let s = c.stats();
+        h.word(s.read_hits)
+            .word(s.read_misses)
+            .word(s.write_hits)
+            .word(s.write_allocs)
+            .word(s.write_dirty_evictions)
+            .word(s.write_uncached);
+        c.recycle_into(&mut pool);
+    }
+    h.0
+}
+
+/// The LLC model on its own: the HSW preset's geometry, and the
+/// Xeon E3's, which has no DDIO, so DMA writes invalidate resident
+/// copies instead of allocating.
+#[test]
+fn llc_model_is_pinned() {
+    let pinned: [(&str, u64); 2] = [
+        ("hsw", 0xbe3bbde329345cf2),
+        ("e3 no ddio", 0xb4a6f4bd4829f228),
+    ];
+    let got = [
+        ("hsw", HostPreset::nfp6000_hsw()),
+        ("e3 no ddio", HostPreset::nfp6000_hsw_e3()),
+    ]
+    .map(|(name, p)| (name, llc_stream(p.llc_bytes, p.llc_ways, p.ddio_ways)));
+    assert_eq!(got, pinned, "LLC model outputs moved");
 }

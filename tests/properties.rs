@@ -11,9 +11,14 @@ use pcie_bench_repro::bench::{
 };
 use pcie_bench_repro::device::DmaPath;
 use pcie_bench_repro::host::presets::NumaPlacement;
+use pcie_bench_repro::model::LinkConfig;
 use pcie_bench_repro::sim::SplitMix64;
 use pcie_bench_repro::tlp::dllp::{
     seq_distance, seq_mask, seq_next, seq_precedes, Dllp, SEQ_MODULUS,
+};
+use pcie_bench_repro::tlp::packet::Error;
+use pcie_bench_repro::tlp::{
+    split, CplStatus, DeviceId, Packet, Tag, TlpOverheads, TlpRepr, TlpType,
 };
 
 const CASES: usize = 24;
@@ -264,5 +269,175 @@ fn larger_windows_never_speed_up_warm_reads() {
             large <= small * 1.03,
             "window growth sped reads up: {small} -> {large} (shift {shift})"
         );
+    }
+}
+
+/// An MWr64 header whose length field says one DW while its last-DW
+/// byte enable is set: malformed, and once an integer underflow in the
+/// parser's length arithmetic.
+const ONE_DW_WITH_LAST_BE: [u8; 20] = {
+    let mut b = [0u8; 20];
+    b[0] = 0x60; // fmt 4DW with data, type MWr
+    b[3] = 0x01; // length: 1 DW
+    b[7] = 0x1f; // last BE 0x1, first BE 0xf
+    b
+};
+
+/// Encoded fmt/type bytes of every TLP type the codec knows.
+const TLP_TYPE_BYTES: [u8; 8] = [0x00, 0x20, 0x40, 0x60, 0x04, 0x44, 0x0a, 0x4a];
+
+/// Untrusted bytes never panic either parser. Random 0–79 B buffers go
+/// through `Packet::new_checked` and `TlpRepr::parse`, and every header
+/// the parser accepts must emit and parse back to itself; the first
+/// four bytes of each buffer go through `Dllp::from_bytes` likewise.
+/// Half the buffers get a known TLP type and a short length field, so
+/// a good share of them reach the field decoders.
+#[test]
+fn tlp_and_dllp_parsers_survive_random_bytes() {
+    let pkt = Packet::new_checked(&ONE_DW_WITH_LAST_BE[..]).expect("long enough");
+    assert_eq!(TlpRepr::parse(&pkt), Err(Error::Malformed));
+
+    let mut rng = SplitMix64::new(0xF022_B17E);
+    let mut buf = [0u8; 79];
+    let mut out = [0u8; 16 + 4096];
+    let mut accepted = 0;
+    for _ in 0..2_000_000 {
+        let len = rng.range(0, 80) as usize;
+        for b in &mut buf[..len] {
+            *b = rng.next_u64() as u8;
+        }
+        if len >= 4 && rng.chance(0.5) {
+            buf[0] = TLP_TYPE_BYTES[rng.range(0, 8) as usize];
+            buf[2] &= !0x3;
+            buf[3] &= 0xf;
+        }
+        let bytes = &buf[..len];
+        if let Ok(repr) = Packet::new_checked(bytes).and_then(|p| TlpRepr::parse(&p)) {
+            accepted += 1;
+            let n = repr.buffer_len();
+            repr.emit(&mut Packet::new_unchecked(&mut out[..n]))
+                .unwrap_or_else(|e| panic!("{repr:?} parsed from {bytes:02x?} but emit: {e}"));
+            let again = Packet::new_checked(&out[..n]).and_then(|p| TlpRepr::parse(&p));
+            assert_eq!(again, Ok(repr), "from {bytes:02x?}");
+        }
+        if let Some(body) = bytes.first_chunk::<4>() {
+            if let Some(d) = Dllp::from_bytes(*body) {
+                assert_eq!(Dllp::from_bytes(d.to_bytes()), Some(d), "from {body:02x?}");
+            }
+        }
+    }
+    assert!(accepted > 100_000, "only {accepted} headers parsed");
+}
+
+/// Eq. 1 checked against the TLP codec. Every TLP the datapath sends —
+/// MWr64 for writes, MRd64 and CplD for reads, split by MPS, MRRS and
+/// RCB from random addresses and lengths, plus the configuration
+/// path's CfgRd0, CfgWr0, CplD and Cpl — costs `wire_cost` bytes in the
+/// model and framing + DLL header + `TlpRepr::buffer_len` on the wire.
+/// The two agree except where a data TLP starts off a DW boundary: the
+/// wire then carries every DW the byte range touches, the model only
+/// the length rounded up to whole DWs.
+#[test]
+fn wire_cost_matches_the_tlp_codec() {
+    let o = TlpOverheads::default();
+    let dev = DeviceId::new(1, 0, 0);
+    let rc = DeviceId::new(0, 0, 0);
+    let mut out = [0u8; 16 + 4096];
+    // Emits `repr`, parses it back and returns its bytes on the wire.
+    let mut wire = |repr: TlpRepr| {
+        let n = repr.buffer_len();
+        repr.emit(&mut Packet::new_unchecked(&mut out[..n]))
+            .unwrap_or_else(|e| panic!("{repr:?}: {e}"));
+        let back = Packet::new_checked(&out[..n]).and_then(|p| TlpRepr::parse(&p));
+        assert_eq!(back, Ok(repr));
+        o.framing + o.dll_header + n as u32
+    };
+    let model = |ty: TlpType, len: u32| o.wire_cost(ty, len).total();
+    // DWs the wire carries beyond Eq. 1's for `len` bytes at `addr`.
+    let gap = |addr: u64, len: u32| 4 * ((addr as u32 % 4 + len).div_ceil(4) - len.div_ceil(4));
+
+    let cfg_rd = TlpRepr::ConfigRead {
+        requester: rc,
+        completer: dev,
+        tag: Tag(1),
+        register: 4,
+    };
+    let cfg_wr = TlpRepr::ConfigWrite {
+        requester: rc,
+        completer: dev,
+        tag: Tag(2),
+        register: 4,
+    };
+    let cpl = |len_dw| TlpRepr::Completion {
+        completer: dev,
+        requester: rc,
+        tag: Tag(1),
+        status: CplStatus::Success,
+        byte_count: 4,
+        lower_addr: 0x10,
+        len_dw,
+    };
+    assert_eq!(wire(cfg_rd), model(TlpType::CfgRd0, 0));
+    assert_eq!(wire(cpl(1)), model(TlpType::CplD, 4));
+    assert_eq!(wire(cfg_wr), model(TlpType::CfgWr0, 4));
+    assert_eq!(wire(cpl(0)), model(TlpType::Cpl, 0));
+
+    let mwr = |addr, len_bytes| TlpRepr::MemWrite {
+        requester: dev,
+        addr,
+        len_bytes,
+        addr64: true,
+    };
+    // The gap's size: a 64 B write at offset 1 is 17 DWs on the wire,
+    // an 8 B one 3 DWs.
+    assert_eq!(wire(mwr(1, 64)), model(TlpType::MWr64, 64) + 4);
+    assert_eq!(wire(mwr(1, 8)), model(TlpType::MWr64, 8) + 4);
+
+    let links = [
+        BenchSetup::nfp6000_hsw().link,
+        BenchSetup::netfpga_hsw().link,
+        LinkConfig::gen4_x16(),
+    ];
+    let mut rng = SplitMix64::new(0xE0_1C0DEC);
+    for _ in 0..4_000 {
+        let link = links[rng.range(0, links.len() as u64) as usize];
+        let addr = rng.range(0, 1 << 40);
+        let len = rng.range(1, 4097) as u32;
+        for c in split::write_chunks(addr, len, link.mps) {
+            assert_eq!(
+                wire(mwr(c.addr, c.len)),
+                model(TlpType::MWr64, c.len) + gap(c.addr, c.len),
+                "MWr {c:?}"
+            );
+        }
+        for r in split::read_request_chunks(addr, len, link.mrrs) {
+            let mrd = TlpRepr::MemRead {
+                requester: dev,
+                tag: Tag(7),
+                addr: r.addr,
+                len_bytes: r.len,
+                addr64: true,
+            };
+            assert_eq!(wire(mrd), model(TlpType::MRd64, 0), "MRd {r:?}");
+            let mut remaining = r.len;
+            for c in split::completion_chunks(r.addr, r.len, link.mps, link.rcb) {
+                let cpld = TlpRepr::Completion {
+                    completer: rc,
+                    requester: dev,
+                    tag: Tag(7),
+                    status: CplStatus::Success,
+                    byte_count: remaining as u16,
+                    lower_addr: (c.addr & 0x7f) as u8,
+                    len_dw: (c.addr as u32 % 4 + c.len).div_ceil(4) as u16,
+                };
+                assert_eq!(
+                    wire(cpld),
+                    model(TlpType::CplD, c.len) + gap(c.addr, c.len),
+                    "CplD {c:?} of {r:?}"
+                );
+                remaining -= c.len;
+            }
+            assert_eq!(remaining, 0);
+        }
     }
 }
