@@ -8,8 +8,7 @@
 //!   PCIE_BENCH_THREADS=8 cargo run --release --bin suite   # pool width
 //!
 //! Independent grid points run on the `pcie-par` worker pool; output
-//! is bit-identical for every thread count. The trailing `# BENCH`
-//! line is machine-readable and scraped by `scripts/bench.sh`.
+//! is bit-identical for every thread count.
 
 use pcie_bench_harness::header;
 use pciebench::suite::{format_suite, run_suite_timed, SuiteConfig};
@@ -41,27 +40,16 @@ fn main() {
     let pool = Pool::from_env();
     let (entries, stats) = run_suite_timed(&setup, &cfg, &pool);
     print!("{}", format_suite(&entries));
-    let wall = stats.wall.as_secs_f64();
-    let seq_equiv = stats.sequential_equivalent().as_secs_f64();
     println!(
         "\n# {} tests in {:.1}s on {} thread(s) (the paper's hardware run: ~2500 tests in ~4 hours)",
         entries.len(),
-        wall,
+        stats.wall.as_secs_f64(),
         stats.threads,
     );
     println!(
         "# sequential-equivalent ~{:.1}s, speedup ~{:.2}x, {:.0} tests/s",
-        seq_equiv,
+        stats.sequential_equivalent().as_secs_f64(),
         stats.speedup(),
-        stats.jobs_per_sec(),
-    );
-    // Machine-readable perf datapoint for scripts/bench.sh.
-    println!(
-        "# BENCH suite tests={} wall_s={:.3} seq_equiv_s={:.3} threads={} tests_per_s={:.1}",
-        entries.len(),
-        wall,
-        seq_equiv,
-        stats.threads,
         stats.jobs_per_sec(),
     );
 }

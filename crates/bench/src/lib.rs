@@ -1,4 +1,4 @@
-//! # pcie-bench-harness — figure/table regeneration and micro-benches
+//! # pcie-bench-harness — figure/table regeneration
 //!
 //! One binary per artefact of the paper's evaluation:
 //!
@@ -20,10 +20,8 @@
 //! the paper-shape checks it performs. `PCIE_BENCH_N` scales the
 //! transaction counts (default chosen for seconds-long runs).
 //!
-//! The criterion benches (`benches/substrate.rs`, `benches/figures.rs`)
-//! measure the *simulator's* own performance — they keep the figure
-//! regeneration honest about its cost and catch regressions in the hot
-//! paths (TLP emit/parse, cache lookups, event queue, closed-loop DMA).
+//! The simulator's own cost is measured by the separate `simbench`
+//! package, and `scripts/ab.sh` compares it between two revisions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,34 +37,18 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: Vec<&str>, widths: &[usize]| -> String {
+    let fmt_row = |cells: Vec<&str>| -> String {
         let mut line = String::new();
         for (i, c) in cells.iter().enumerate() {
             line.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
         line.trim_end().to_string() + "\n"
     };
-    out.push_str(&fmt_row(headers.to_vec(), &widths));
-    out.push_str(&fmt_row(
-        widths.iter().map(|_| "-").collect::<Vec<_>>(),
-        &widths,
-    ));
-    // replace the dash row with full-width rules
-    let rule: String = widths
-        .iter()
-        .map(|w| "-".repeat(*w) + "  ")
-        .collect::<String>()
-        .trim_end()
-        .to_string()
-        + "\n";
-    let header_line_len = out.lines().next().unwrap().len();
-    let _ = header_line_len;
-    let mut lines: Vec<&str> = out.lines().collect();
-    lines.pop();
-    out = lines.join("\n") + "\n" + &rule;
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let mut out = fmt_row(headers.to_vec());
+    out.push_str(&fmt_row(rule.iter().map(String::as_str).collect()));
     for row in rows {
-        out.push_str(&fmt_row(row.iter().map(|s| s.as_str()).collect(), &widths));
+        out.push_str(&fmt_row(row.iter().map(String::as_str).collect()));
     }
     out
 }
@@ -92,11 +76,7 @@ mod tests {
                 vec!["b".into(), "22222".into()],
             ],
         );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[1].starts_with("-----"));
-        assert!(lines[2].starts_with("alpha"));
+        assert_eq!(t, "name   value\n-----  -----\nalpha  1\nb      22222\n");
     }
 
     #[test]

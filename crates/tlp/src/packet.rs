@@ -551,8 +551,10 @@ fn request_len_bytes(len_dw: u16, first_be: u8, last_be: u8) -> Result<u32, Erro
         }
         Ok(first_be.count_ones())
     } else {
-        // A last-DW enable names a DW after the first one.
-        if len_dw < 2 {
+        // A last-DW enable names a DW after the first one, and the
+        // enabled bytes are contiguous only if the first DW's enables
+        // run up to its top byte.
+        if len_dw < 2 || !matches!(first_be, 0b1111 | 0b1110 | 0b1100 | 0b1000) {
             return Err(Error::Malformed);
         }
         let tail = be_tail(last_be)?;

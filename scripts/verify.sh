@@ -1,14 +1,19 @@
 #!/bin/sh
-# Offline verification: build, test, docs, lint, benchmark digests. Must
-# pass with zero network access — the workspace has no external
-# dependencies.
+# Offline verification: build, test, docs, lint, the figure binaries'
+# checks, benchmark digests. Must pass with zero network access — the
+# workspace has no external dependencies.
 #
 # Usage: scripts/verify.sh
-# Exits non-zero on the first failure. Clippy and rustfmt are skipped
-# (with a note) when the component is not installed.
+# Exits non-zero on the first failure, or if the run changed `git status
+# --porcelain`. Clippy and rustfmt are skipped (with a note) when the
+# component is not installed.
 
 set -eu
 cd "$(dirname "$0")/.."
+
+# No step may rewrite a tracked file or leave behind one that
+# .gitignore does not name.
+tree_before=$(git status --porcelain 2>/dev/null) || tree_before="not a git checkout"
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"
@@ -35,6 +40,17 @@ else
     echo "==> cargo clippy not installed; skipping lint"
 fi
 
+# The figure and extension binaries assert their paper-shape checks as
+# they run, so each must exit 0; the suite runs at pool widths 1, 2 and
+# the default. $bin is split on purpose: every word is a plain token.
+for bin in fig4_baseline_bw fig5_latency_size fig7_cache_ddio fig8_numa fig9_iommu ext_faults \
+    "ext_drivers --quick" "ext_flows --quick" "ext_rpc --quick" suite; do
+    echo "==> $bin (its asserted checks must hold)"
+    ./target/release/$bin >/dev/null
+done
+PCIE_BENCH_THREADS=1 ./target/release/suite >/dev/null
+PCIE_BENCH_THREADS=2 ./target/release/suite >/dev/null
+
 # The benchmark package: its own tests, then each workload once at
 # the default seed and once at seed 0. Every run's digest must match
 # the one recorded in simbench/golden.tsv, so a change that moves any
@@ -55,12 +71,11 @@ for w in dma_sweep driver_zoo flow_rx rpc_fabric; do
     done
 done
 
-# Non-fatal perf datapoint: quick suite (sequential vs parallel) and
-# per-figure regeneration timings into BENCH_sim.json, so every PR
-# records the simulator's own performance trajectory.
-echo "==> scripts/bench.sh --quick (non-fatal)"
-if ! sh scripts/bench.sh --quick; then
-    echo "==> bench.sh failed (non-fatal, continuing)"
+echo "==> git status --porcelain is as the run found it"
+tree_after=$(git status --porcelain 2>/dev/null) || tree_after="not a git checkout"
+if [ "$tree_after" != "$tree_before" ]; then
+    printf 'verify.sh: the run changed the work tree\nbefore:\n%s\nafter:\n%s\n' "$tree_before" "$tree_after" >&2
+    exit 1
 fi
 
 echo "==> OK"

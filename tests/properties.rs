@@ -283,6 +283,17 @@ const ONE_DW_WITH_LAST_BE: [u8; 20] = {
     b
 };
 
+/// A 3-DW MWr32 header with first BE 0b0001 and last BE 0b1111: its 9
+/// enabled bytes are not contiguous, and it was once read as a 12-byte
+/// write.
+const GAP_BEFORE_LAST_BE: [u8; 24] = {
+    let mut b = [0u8; 24];
+    b[0] = 0x40; // fmt 3DW with data, type MWr
+    b[3] = 0x03; // length: 3 DW
+    b[7] = 0xf1; // last BE 0xf, first BE 0x1
+    b
+};
+
 /// Encoded fmt/type bytes of every TLP type the codec knows.
 const TLP_TYPE_BYTES: [u8; 8] = [0x00, 0x20, 0x40, 0x60, 0x04, 0x44, 0x0a, 0x4a];
 
@@ -294,8 +305,10 @@ const TLP_TYPE_BYTES: [u8; 8] = [0x00, 0x20, 0x40, 0x60, 0x04, 0x44, 0x0a, 0x4a]
 /// a good share of them reach the field decoders.
 #[test]
 fn tlp_and_dllp_parsers_survive_random_bytes() {
-    let pkt = Packet::new_checked(&ONE_DW_WITH_LAST_BE[..]).expect("long enough");
-    assert_eq!(TlpRepr::parse(&pkt), Err(Error::Malformed));
+    for header in [&ONE_DW_WITH_LAST_BE[..], &GAP_BEFORE_LAST_BE[..]] {
+        let pkt = Packet::new_checked(header).expect("long enough");
+        assert_eq!(TlpRepr::parse(&pkt), Err(Error::Malformed), "{header:02x?}");
+    }
 
     let mut rng = SplitMix64::new(0xF022_B17E);
     let mut buf = [0u8; 79];
