@@ -25,9 +25,8 @@
 //! * stage means telescope to the end-to-end mean per pattern.
 //!
 //! Usage: `cargo run --release --bin ext_drivers [-- --quick]`
-//! Env: `PCIE_BENCH_DRIVER=<name>` runs a single pattern;
-//! `PCIE_BENCH_COALESCE_US` / `PCIE_BENCH_COALESCE_FRAMES` tune IRQ
-//! coalescing; `PCIE_BENCH_N` scales packet counts;
+//! Env: `PCIE_BENCH_DRIVER=<name>` runs a single pattern (an unknown
+//! name exits 2); `PCIE_BENCH_N` scales packet counts;
 //! `PCIE_BENCH_THREADS` sizes the worker pool.
 
 use pcie_bench_harness::{header, n};
@@ -53,15 +52,21 @@ fn main() {
         &[64, 256, 512, 1024, 1500]
     };
     let patterns: Vec<DriverPattern> = match std::env::var("PCIE_BENCH_DRIVER") {
-        Ok(name) => {
-            let p = DriverPattern::from_name(&name)
-                .unwrap_or_else(|| panic!("unknown PCIE_BENCH_DRIVER '{name}'"));
-            vec![p]
-        }
+        Ok(name) => match DriverPattern::from_name(&name) {
+            Some(p) => vec![p],
+            None => {
+                let names: Vec<&str> = PATTERNS.iter().map(|p| p.name()).collect();
+                eprintln!(
+                    "unknown PCIE_BENCH_DRIVER '{name}'; expected one of {}",
+                    names.join(", ")
+                );
+                std::process::exit(2);
+            }
+        },
         Err(_) => PATTERNS.to_vec(),
     };
     let pkts = n(if quick { 4_000 } else { 20_000 }) as u32;
-    let cfg = DriverConfig::from_env();
+    let cfg = DriverConfig::default();
     let pool = Pool::from_env();
 
     // Every (pattern, size, mode) cell is an independent sim on a

@@ -52,7 +52,7 @@ fn env_u32(name: &str, default: u32) -> u32 {
 
 /// The datapaths to run: `--path bypass|bounce|both` on the command
 /// line, else `PCIE_BENCH_RPC_PATH`, else both (the headline is the
-/// gap between them).
+/// gap between them). An unknown name exits 2.
 fn selected_paths() -> Vec<Datapath> {
     let mut sel = std::env::var("PCIE_BENCH_RPC_PATH").ok();
     let args: Vec<String> = std::env::args().collect();
@@ -68,7 +68,16 @@ fn selected_paths() -> Vec<Datapath> {
         Some(s) if s.eq_ignore_ascii_case("both") => {
             vec![Datapath::HostBypass, Datapath::HostBounce]
         }
-        Some(s) => vec![Datapath::parse(s).expect("--path / PCIE_BENCH_RPC_PATH")],
+        Some(s) => match Datapath::parse(s) {
+            Ok(d) => vec![d],
+            Err(_) => {
+                eprintln!(
+                    "unknown --path / PCIE_BENCH_RPC_PATH '{s}'; \
+                     expected bypass, bounce or both"
+                );
+                std::process::exit(2);
+            }
+        },
     }
 }
 

@@ -1,5 +1,6 @@
-//! `pciebench_cli` rejects bad input with exit code 2 and a message,
-//! never with a panic (exit code 101).
+//! `pciebench_cli`, and the `ext_rpc` and `ext_drivers` selectors,
+//! reject bad input with exit code 2 and a message, never with a panic
+//! (exit code 101).
 
 use std::process::{Command, Output};
 
@@ -9,6 +10,13 @@ fn run(args: &[&str]) -> Output {
         .env_remove("PCIE_BENCH_BER")
         .output()
         .expect("spawn pciebench_cli")
+}
+
+fn assert_exits_2(what: &str, out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert!(!stderr.trim().is_empty(), "{what}: no message");
 }
 
 #[test]
@@ -22,11 +30,26 @@ fn bad_input_exits_2() {
         &["LAT_RD", "--window", "99999999999999m"],
         &["LAT_RD", "--no-such-flag"],
     ] {
-        let out = run(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(!stderr.trim().is_empty(), "{args:?}: no message");
+        assert_exits_2(&format!("{args:?}"), &run(args));
+    }
+}
+
+#[test]
+fn unknown_selectors_exit_2() {
+    let rpc = env!("CARGO_BIN_EXE_ext_rpc");
+    let drivers = env!("CARGO_BIN_EXE_ext_drivers");
+    for (bin, args, env) in [
+        (rpc, &["--path", "bogus"][..], None),
+        (rpc, &[], Some(("PCIE_BENCH_RPC_PATH", "bogus"))),
+        (drivers, &[], Some(("PCIE_BENCH_DRIVER", "bogus"))),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.args(args).env_remove("PCIE_BENCH_RPC_PATH");
+        if let Some((k, v)) = env {
+            cmd.env(k, v);
+        }
+        let out = cmd.output().expect("spawn");
+        assert_exits_2(&format!("{bin} {args:?} {env:?}"), &out);
     }
 }
 

@@ -170,27 +170,6 @@ impl Default for DriverConfig {
 }
 
 impl DriverConfig {
-    /// Default knobs with coalescing settings taken from the
-    /// environment: `PCIE_BENCH_COALESCE_US` and
-    /// `PCIE_BENCH_COALESCE_FRAMES` override the usecs/frames
-    /// thresholds (unparsable values are ignored).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(us) = std::env::var("PCIE_BENCH_COALESCE_US")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            cfg.irq_coalesce_usecs = us;
-        }
-        if let Some(frames) = std::env::var("PCIE_BENCH_COALESCE_FRAMES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            cfg.irq_coalesce_frames = frames;
-        }
-        cfg
-    }
-
     /// With a different offered-load mode.
     pub fn with_load(mut self, load: OfferedLoad) -> Self {
         self.load = load;

@@ -251,8 +251,8 @@ pub struct DriverSim {
     /// TX ring (driver produces, device consumes).
     tx_ring: pcie_nic::DescriptorRing,
     /// Scheduled interaction phases not yet issued to the platform,
-    /// on the simulator's timing wheel: time-ordered with FIFO
-    /// tie-breaking (see [`Deferred`]), with the wheel's
+    /// on the simulator's event queue: time-ordered with FIFO
+    /// tie-breaking (see [`Deferred`]), with the queue's
     /// scheduled-in-the-past check guarding the driver's event logic.
     deferred: EventQueue<Deferred>,
     /// When the driver core becomes free.
@@ -334,10 +334,9 @@ impl DriverSim {
                 // Quiescent: every interaction phase at or before `arr`
                 // has been issued and nothing later is pending, and all
                 // follow-on work is scheduled at ≥ the times it is
-                // decided at (≥ `arr`). Declaring the gap lets the
-                // wheel jump its cursor in O(1) instead of cascading
-                // across the idle stretch — the win behind low-load
-                // (p99) runs with coalescing timers tens of µs out.
+                // decided at (≥ `arr`). Declaring the gap raises the
+                // queue's scheduled-in-the-past watermark to `arr`, so
+                // a phase wrongly scheduled before it panics.
                 self.deferred.fast_forward(arr);
             }
             if self.rx.buffers_avail() == 0 {
@@ -455,7 +454,7 @@ impl DriverSim {
 
     // ----- driver side ---------------------------------------------
 
-    /// Schedules `action` at `at` on the deferred timing wheel.
+    /// Schedules `action` at `at` on the deferred-phase queue.
     fn schedule(&mut self, at: SimTime, action: Deferred) {
         self.deferred.push_labeled(at, "driver-phase", action);
     }

@@ -309,8 +309,9 @@ impl QueueSim {
     fn arrive(&mut self, p: &QueuedPacket) {
         self.rx.apply_refills(p.at);
         if self.refills.is_empty() {
-            // Quiescent gap: let the timing wheel jump its cursor
-            // instead of cascading across the idle stretch.
+            // Quiescent gap: raise the queue's scheduled-in-the-past
+            // watermark to the arrival, so a refill wrongly scheduled
+            // before it panics.
             self.refills.fast_forward(p.at);
         }
         self.counters.offered += 1;

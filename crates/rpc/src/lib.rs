@@ -22,7 +22,7 @@
 //!   the IOMMU TLB in the path, and descends again.
 //!
 //! [`RpcQueueSim`] chains NIC → switch → accelerator → switch → NIC
-//! hops as typed events on a timing wheel, issued with the same
+//! hops as typed events on an event queue, issued with the same
 //! deferred-issuance loop as `DriverSim` and `QueueSim`
 //! ([`EventQueue::pop_before`](pcie_sim::EventQueue::pop_before):
 //! platform issue ports are FIFO timelines, so every platform call is

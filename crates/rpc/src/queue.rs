@@ -300,8 +300,9 @@ impl RpcQueueSim {
             last = r.at;
             self.drain(r.at);
             if self.hops.is_empty() {
-                // Quiescent gap: jump the wheel cursor instead of
-                // cascading across the idle stretch.
+                // Quiescent gap: raise the queue's scheduled-in-the-
+                // past watermark to the arrival, so a hop wrongly
+                // scheduled before it panics.
                 self.hops.fast_forward(r.at);
             }
             self.counters.offered += 1;

@@ -2,11 +2,11 @@
 //!
 //! This crate provides the simulation substrate for the `pcie-bench`
 //! reproduction: a picosecond-resolution clock ([`SimTime`]), a
-//! FIFO-tie-broken event queue ([`EventQueue`], a hierarchical timing
-//! wheel), busy-until resource timelines ([`Timeline`]) for modelling
-//! serial resources such as PCIe link directions, and a small,
-//! seedable, portable RNG ([`SplitMix64`]) so that every simulation
-//! run is bit-for-bit reproducible.
+//! FIFO-tie-broken event queue ([`EventQueue`], a binary heap keyed on
+//! time and insertion order), busy-until resource timelines
+//! ([`Timeline`]) for modelling serial resources such as PCIe link
+//! directions, and a small, seedable, portable RNG ([`SplitMix64`]) so
+//! that every simulation run is bit-for-bit reproducible.
 //!
 //! The engine is deliberately synchronous and single-threaded: the
 //! simulated systems (PCIe links, DMA engines, root complexes) are

@@ -1,75 +1,48 @@
-//! The event queue: a hierarchical timing wheel.
+//! The event queue: a binary heap keyed on `(time, seq)`.
 //!
 //! Delivers events in non-decreasing time order, breaking ties in
-//! insertion (FIFO) order. FIFO tie-breaking matters for determinism:
-//! PCIe transactions issued "simultaneously" (same picosecond) must
-//! retire in issue order, as they would on a real serial link.
-//!
-//! # Structure
-//!
-//! The queue is a frame-aligned hierarchical timing wheel (the shape
-//! used by OS timer subsystems), chosen over a binary heap because the
-//! simulator's schedules are overwhelmingly near-future and bursty:
-//!
-//! * Time is quantised into *ticks* of 2^`TICK_SHIFT` ps (≈4 ns).
-//!   Events inside one tick are ordered exactly by their stored
-//!   `(time, seq)` key, so the quantisation affects placement only,
-//!   never ordering.
-//! * `LEVELS` wheel levels of `SLOTS` slots each. Level *k* holds
-//!   events that share the cursor's level-*(k+1)* frame but not its
-//!   level-*k* frame, indexed by bits `k*SLOT_BITS..` of the tick.
-//!   Because frames are aligned, slot indices never wrap: within a
-//!   level the first occupied slot (found by a one-word bit scan) is
-//!   always the earliest.
-//! * Far-future events beyond the top frame (replay timers, coalescing
-//!   deadlines scheduled 10s of ms out) fall back to an unordered
-//!   *calendar overflow* list; when the wheel drains, the cursor
-//!   re-anchors at the overflow minimum and the list redistributes.
-//!
-//! Push and pop are O(1) amortised (pop settles at most one cascade
-//! per level per frame). The cursor *jumps* — an empty stretch of
-//! virtual time costs one bit-scan per level, not one step per slot,
-//! which is what makes quiescent fast-forward cheap (see
-//! [`EventQueue::fast_forward`]).
+//! insertion (FIFO) order: PCIe transactions issued "simultaneously"
+//! (same picosecond) must retire in issue order, as on a real serial
+//! link. Push and pop are O(log n); the heap's buffer grows to the most
+//! events ever pending and is reused, so steady state allocates nothing.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// log2 of picoseconds per wheel tick (2^12 ps ≈ 4.1 ns).
-const TICK_SHIFT: u32 = 12;
-/// log2 of slots per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level (one occupancy bit per `u64` word).
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; the top frame spans 2^(12+4·6) ps ≈ 69 ms of
-/// relative time, beyond which events go to the calendar overflow.
-const LEVELS: usize = 4;
-
-/// One scheduled entry: ordered by `(time, seq)` ascending.
+/// One scheduled entry. It orders by `(time, seq)` *reversed*, so the
+/// max-heap pops the earliest entry and the payload needs no `Ord`.
 struct Entry<T> {
     time: SimTime,
     seq: u64,
     payload: T,
 }
 
-/// A time-ordered event queue with FIFO tie-breaking.
-///
-/// Generic over the event payload `T`; higher layers define their own
-/// event enums. See the crate-level docs for an example.
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Entry<T> {}
+
+/// A time-ordered event queue with FIFO tie-breaking, generic over the
+/// event payload `T` (see the crate-level docs for an example).
 pub struct EventQueue<T> {
-    /// `levels[k][slot]` holds entries for that slot, unsorted; pops
-    /// extract the `(time, seq)` minimum by scanning the (small) slot.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// Per-level occupancy bitmaps (bit `s` set ⇔ slot `s` non-empty).
-    occupied: [u64; LEVELS],
-    /// Far-future entries beyond the top-level frame, unordered.
-    overflow: Vec<Entry<T>>,
-    /// Wheel position in ticks. Invariant: every stored entry except
-    /// same-slot stragglers has `tick >= cursor`.
-    cursor: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// Time of the most recently popped event; pops are checked to be
-    /// monotone, which catches scheduling-in-the-past bugs early.
+    /// Time of the last pop or [`EventQueue::fast_forward`]; pushes
+    /// before it panic, which catches scheduling-in-the-past bugs.
     last_popped: SimTime,
 }
 
@@ -77,24 +50,6 @@ impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-#[inline]
-fn tick_of(time: SimTime) -> u64 {
-    time.as_ps() >> TICK_SHIFT
-}
-
-/// Level-`k` frame index of a tick (which aligned block of
-/// `SLOTS^(k+1)` ticks it falls in).
-#[inline]
-fn frame(tick: u64, k: u32) -> u64 {
-    tick >> (SLOT_BITS * (k + 1))
-}
-
-/// Slot index of a tick at level `k`.
-#[inline]
-fn slot_of(tick: u64, k: u32) -> usize {
-    ((tick >> (SLOT_BITS * k)) as usize) & (SLOTS - 1)
 }
 
 /// The cheap monotonicity check's failure path, kept out of line so
@@ -112,13 +67,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            overflow: Vec::new(),
-            cursor: 0,
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -127,10 +76,8 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` at absolute time `time`.
     ///
     /// # Panics
-    ///
-    /// Panics if `time` is earlier than the last popped event: the past
-    /// is immutable in a discrete-event simulation, and silently
-    /// reordering would corrupt results.
+    /// If `time` is before the last pop or fast-forward: the past is
+    /// immutable, and silently reordering it would corrupt results.
     #[inline]
     pub fn push(&mut self, time: SimTime, payload: T) {
         self.push_labeled(time, "event", payload);
@@ -145,108 +92,27 @@ impl<T> EventQueue<T> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.place(Entry { time, seq, payload });
-    }
-
-    /// Files an entry into its wheel slot (or the overflow list),
-    /// relative to the current cursor.
-    fn place(&mut self, e: Entry<T>) {
-        let tick = tick_of(e.time);
-        // A straggler behind the cursor (legal: the cursor may run
-        // ahead of `last_popped` after a cascade) files into the
-        // cursor's own level-0 slot, which pops scan first.
-        let tick = tick.max(self.cursor);
-        for k in 0..LEVELS as u32 {
-            if frame(tick, k) == frame(self.cursor, k) {
-                let s = slot_of(tick, k);
-                self.levels[k as usize][s].push(e);
-                self.occupied[k as usize] |= 1 << s;
-                return;
-            }
-        }
-        self.overflow.push(e);
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Level 0: the lowest occupied slot is the earliest (slot
-            // indices within the aligned frame never wrap).
-            if self.occupied[0] != 0 {
-                let s = self.occupied[0].trailing_zeros() as usize;
-                let slot = &mut self.levels[0][s];
-                let mut best = 0;
-                for i in 1..slot.len() {
-                    let (b, c) = (&slot[best], &slot[i]);
-                    if (c.time, c.seq) < (b.time, b.seq) {
-                        best = i;
-                    }
-                }
-                let e = slot.swap_remove(best);
-                if slot.is_empty() {
-                    self.occupied[0] &= !(1 << s);
-                }
-                self.len -= 1;
-                debug_assert!(e.time >= self.last_popped);
-                self.last_popped = e.time;
-                self.cursor = self.cursor.max(tick_of(e.time));
-                return Some((e.time, e.payload));
-            }
-            self.cascade();
-        }
-    }
-
-    /// Advances the cursor to the next occupied frame and redistributes
-    /// one higher-level slot (or the overflow list) downwards.
-    fn cascade(&mut self) {
-        for k in 1..LEVELS {
-            if self.occupied[k] != 0 {
-                let s = self.occupied[k].trailing_zeros() as usize;
-                // Jump the cursor to the slot's frame base: level-k
-                // index = s, all lower-level bits zero.
-                let span = SLOT_BITS * k as u32;
-                self.cursor = ((self.cursor >> (span + SLOT_BITS)) << SLOT_BITS | s as u64) << span;
-                let entries = std::mem::take(&mut self.levels[k][s]);
-                self.occupied[k] &= !(1 << s);
-                for e in entries {
-                    self.place(e);
-                }
-                return;
-            }
-        }
-        // Wheel empty: re-anchor at the calendar overflow's minimum and
-        // redistribute. Entries still beyond the new top frame stay in
-        // the overflow for a later re-anchor.
-        debug_assert!(!self.overflow.is_empty(), "len > 0 with empty wheel");
-        let min_tick = self
-            .overflow
-            .iter()
-            .map(|e| tick_of(e.time))
-            .min()
-            .expect("non-empty overflow");
-        self.cursor = min_tick;
-        for e in std::mem::take(&mut self.overflow) {
-            self.place(e);
-        }
+        let e = self.heap.pop()?;
+        debug_assert!(e.time >= self.last_popped);
+        self.last_popped = e.time;
+        Some((e.time, e.payload))
     }
 
     /// Pops the earliest event if it is due at or before `until`;
-    /// `None` once every event ≤ `until` has been popped. Ties pop in
-    /// insertion order.
+    /// `None` once every event ≤ `until` has been popped.
     ///
-    /// This is the loop of *deferred issuance*, which every serving
-    /// engine uses. A device's issue ports and wire timelines are FIFO
+    /// This is the loop of *deferred issuance* every serving engine
+    /// uses. Issue ports and wire timelines are FIFO
     /// [`Timeline`](crate::Timeline)s, so a transaction issued out of
-    /// call order at a future time pushes every later-issued,
-    /// earlier-wanted transaction behind it, which under load
-    /// compounds into unbounded artificial queueing. An engine
-    /// therefore *schedules* each follow-on phase when it decides on
-    /// it and *issues* it here, in event-time order, with every
-    /// platform call carrying the event's own time:
+    /// call order at a future time queues every later-issued,
+    /// earlier-wanted one behind it. An engine therefore *schedules*
+    /// each follow-on phase when it decides on it and *issues* it here,
+    /// in event-time order, each platform call carrying the event's time:
     ///
     /// ```text
     /// while let Some((at, phase)) = queue.pop_before(until) {
@@ -262,61 +128,32 @@ impl<T> EventQueue<T> {
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        // Levels hold disjoint, increasing time ranges, so the first
-        // occupied slot of the first occupied level has the minimum.
-        for k in 0..LEVELS {
-            if self.occupied[k] != 0 {
-                let s = self.occupied[k].trailing_zeros() as usize;
-                return self.levels[k][s].iter().map(|e| e.time).min();
-            }
-        }
-        self.overflow.iter().map(|e| e.time).min()
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Declares virtual time quiescent up to `to`: the caller promises
-    /// no event will be scheduled before it. Advances the past-check
-    /// watermark, and — when the queue is empty — jumps the wheel
-    /// cursor in O(1), so the next schedule lands in a fresh frame
-    /// instead of cascading up from an ancient one.
+    /// Declares virtual time quiescent up to `to`: raises the
+    /// scheduled-in-the-past watermark, so a later push before `to`
+    /// panics.
     ///
     /// # Panics
-    /// If an event earlier than `to` is already pending (jumping over
-    /// it would reorder the schedule).
+    /// If an event earlier than `to` is already pending.
     pub fn fast_forward(&mut self, to: SimTime) {
-        if let Some(t) = self.peek_time() {
-            assert!(
-                t >= to,
-                "fast-forward to {to} would skip an event pending at {t}"
-            );
-        } else {
-            self.cursor = self.cursor.max(tick_of(to));
-        }
+        let next = self.peek_time().unwrap_or(SimTime::MAX);
+        assert!(
+            next >= to,
+            "fast-forward to {to} would skip an event pending at {next}"
+        );
         self.last_popped = self.last_popped.max(to);
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Discards all pending events, keeping the monotonicity watermark.
-    pub fn clear(&mut self) {
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occupied = [0; LEVELS];
-        self.overflow.clear();
-        self.len = 0;
+        self.heap.is_empty()
     }
 }
 
@@ -324,7 +161,6 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
-    use std::collections::BinaryHeap;
 
     #[test]
     fn orders_by_time() {
@@ -384,7 +220,8 @@ mod tests {
         q.push(SimTime::from_ns(3), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(3)));
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
     }
 
@@ -407,9 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_goes_through_overflow_and_back() {
+    fn far_future_pops_after_near() {
         let mut q = EventQueue::new();
-        // Beyond the 69 ms top frame: lands in the calendar overflow.
         q.push(SimTime::from_us(200_000), "far");
         q.push(SimTime::from_ns(1), "near");
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
@@ -446,42 +282,46 @@ mod tests {
 
     // ----- reference-model property tests --------------------------
 
-    /// The old `BinaryHeap`-based queue, kept as the ordering oracle.
-    struct HeapQueue<T> {
-        heap: BinaryHeap<(std::cmp::Reverse<(SimTime, u64)>, T)>,
+    /// The ordering oracle: an unsorted `Vec` whose pop removes the
+    /// `(time, seq)` minimum by linear scan.
+    struct ScanQueue<T> {
+        items: Vec<(SimTime, u64, T)>,
         next_seq: u64,
     }
 
-    impl<T: Ord> HeapQueue<T> {
+    impl<T> ScanQueue<T> {
         fn new() -> Self {
-            HeapQueue {
-                heap: BinaryHeap::new(),
+            ScanQueue {
+                items: Vec::new(),
                 next_seq: 0,
             }
         }
         fn push(&mut self, time: SimTime, payload: T) {
-            let seq = self.next_seq;
+            self.items.push((time, self.next_seq, payload));
             self.next_seq += 1;
-            self.heap.push((std::cmp::Reverse((time, seq)), payload));
+        }
+        fn min(&self) -> Option<usize> {
+            (0..self.items.len()).min_by_key(|&i| (self.items[i].0, self.items[i].1))
         }
         fn pop(&mut self) -> Option<(SimTime, T)> {
-            self.heap.pop().map(|(std::cmp::Reverse((t, _)), p)| (t, p))
+            let (t, _, p) = self.items.swap_remove(self.min()?);
+            Some((t, p))
         }
         fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|(std::cmp::Reverse((t, _)), _)| *t)
+            self.min().map(|i| self.items[i].0)
         }
     }
 
-    /// Random interleaved push/pop schedules: the wheel must be
-    /// bit-identical to the heap, including same-tick ties (many
-    /// events inside one 4 ns tick) and far-future replay-timer-style
-    /// pushes that exercise the calendar overflow.
+    /// Random interleaved push/pop schedules: the heap must pop exactly
+    /// what the linear scan pops, including exact-time ties, many
+    /// events inside a few nanoseconds, and far-future
+    /// replay-timer-style pushes.
     #[test]
-    fn wheel_matches_binary_heap_on_random_schedules() {
+    fn heap_matches_linear_scan_on_random_schedules() {
         for seed in 0..8u64 {
             let mut rng = SplitMix64::new(0xC0FFEE ^ seed);
-            let mut wheel = EventQueue::new();
-            let mut heap = HeapQueue::new();
+            let mut q = EventQueue::new();
+            let mut scan = ScanQueue::new();
             let mut now = SimTime::ZERO;
             let mut id = 0u64;
             for _ in 0..4_000 {
@@ -490,55 +330,54 @@ mod tests {
                     0..=5 => {
                         let dt = match rng.next_u64() % 4 {
                             0 => 0,                           // same time as `now`
-                            1 => rng.next_u64() % 100,        // sub-tick
+                            1 => rng.next_u64() % 100,        // sub-ns
                             2 => rng.next_u64() % 100_000,    // ~100 ns
                             _ => rng.next_u64() % 50_000_000, // ~50 µs
                         };
                         let t = now + SimTime::from_ps(dt);
-                        wheel.push(t, id);
-                        heap.push(t, id);
+                        q.push(t, id);
+                        scan.push(t, id);
                         id += 1;
                     }
-                    // 10%: push far-future (overflow territory).
+                    // 10%: push far-future (100 ms to 1.1 s out).
                     6 => {
                         let t = now + SimTime::from_us(100_000 + rng.next_u64() % 1_000_000);
-                        wheel.push(t, id);
-                        heap.push(t, id);
+                        q.push(t, id);
+                        scan.push(t, id);
                         id += 1;
                     }
                     // 30%: pop.
                     _ => {
-                        assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
-                        let (w, h) = (wheel.pop(), heap.pop());
-                        assert_eq!(w, h, "seed {seed}");
-                        if let Some((t, _)) = w {
+                        assert_eq!(q.peek_time(), scan.peek_time(), "seed {seed}");
+                        let (h, s) = (q.pop(), scan.pop());
+                        assert_eq!(h, s, "seed {seed}");
+                        if let Some((t, _)) = h {
                             now = t;
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.heap.len(), "seed {seed}");
+                assert_eq!(q.len(), scan.items.len(), "seed {seed}");
             }
             // Drain: the full remaining order must match.
             loop {
-                let (w, h) = (wheel.pop(), heap.pop());
-                assert_eq!(w, h, "seed {seed} drain");
-                if w.is_none() {
+                let (h, s) = (q.pop(), scan.pop());
+                assert_eq!(h, s, "seed {seed} drain");
+                if h.is_none() {
                     break;
                 }
             }
         }
     }
 
-    /// Dense same-tick bursts: hundreds of events inside single ticks,
-    /// popped strictly in insertion order.
+    /// Dense bursts: hundreds of events inside 4 ns, several at exactly
+    /// the same time, popped in `(time, insertion)` order.
     #[test]
-    fn same_tick_bursts_stay_fifo() {
+    fn dense_bursts_stay_fifo() {
         let mut rng = SplitMix64::new(42);
         let mut q = EventQueue::new();
         let base = SimTime::from_us(3);
         let mut expect = Vec::new();
         for i in 0..500u32 {
-            // All within one ~4 ns tick, several exact-duplicate times.
             let t = base + SimTime::from_ps(rng.next_u64() % 4_000);
             q.push(t, i);
             expect.push((t, i));

@@ -166,9 +166,9 @@ fn no_driver_platform_snapshot_is_clean_and_reproducible() {
 
 /// Quiescence fast-forward pin, fault-free (BER = 0): a gentle open
 /// loop leaves long idle gaps between packets, so nearly every
-/// iteration declares quiescence and jumps the timing wheel. The
-/// results must be bit-identical run to run, and the exact values are
-/// pinned so a fast-forward that skipped or reordered a coalescing
+/// iteration declares quiescence and fast-forwards the event queue.
+/// The results must be bit-identical run to run, and the exact values
+/// are pinned so a fast-forward that skipped or reordered a coalescing
 /// timer would show up as a changed delivery count or tail latency.
 #[test]
 fn fast_forward_pin_fault_free() {
@@ -191,7 +191,7 @@ fn fast_forward_pin_fault_free() {
 }
 
 /// The same quiescent low-load run with a lossy link (DLL replays
-/// *and* wheel jumps in the same schedule): accounting must close and
+/// *and* fast-forwards in the same schedule): accounting must close and
 /// the run must stay bit-deterministic — the fault injector's RNG
 /// stream is part of the schedule, so a fast-forward that perturbed
 /// event order would desynchronise the two runs.
