@@ -23,11 +23,12 @@
 //!
 //! Usage: `cargo run --release --bin ext_flows [-- --quick]`
 //! Env: `PCIE_BENCH_FLOWS` overrides the concurrent-flow target
-//! (default 1,250,000; quick 50,000); `PCIE_BENCH_QUEUES` overrides
-//! the RSS queue count (default 8; quick 4); `PCIE_BENCH_N` scales
-//! packet counts; `PCIE_BENCH_THREADS` sizes the worker pool.
+//! (default 1,250,000; quick 50,000; at least 1); `PCIE_BENCH_QUEUES`
+//! overrides the RSS queue count (default 8; quick 4; 1–256);
+//! `PCIE_BENCH_N` scales packet counts; `PCIE_BENCH_THREADS` sizes the
+//! worker pool. An unparsable or out-of-range value exits 2.
 
-use pcie_bench_harness::{header, n};
+use pcie_bench_harness::{env_or, exit_usage, header, n};
 use pcie_flows::{
     ArrivalProcess, FlowEngine, FlowEngineConfig, FlowLength, FlowRunReport, ServiceModel,
     TrafficProfile,
@@ -40,13 +41,6 @@ use pciebench::BenchSetup;
 /// Offered load points as fractions of aggregate service capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
 const SWEEP_QUICK: &[f64] = &[0.5, 1.2, 2.0];
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The bench's per-queue service model: ~2 Mpps per queue core so
 /// oversubscription is reachable with modest packet counts, and a
@@ -61,13 +55,16 @@ fn service() -> ServiceModel {
     }
 }
 
-fn engine(flows: u32, queues: u32, pps: f64, packets: u64) -> FlowEngine {
-    let cfg = FlowEngineConfig {
+fn config(queues: u32) -> FlowEngineConfig {
+    FlowEngineConfig {
         queues,
         service: service(),
         ..FlowEngineConfig::default()
-    };
-    let profile = TrafficProfile {
+    }
+}
+
+fn profile(flows: u32, pps: f64, packets: u64) -> TrafficProfile {
+    TrafficProfile {
         flows,
         packets,
         arrival: ArrivalProcess::Poisson { pps },
@@ -77,8 +74,11 @@ fn engine(flows: u32, queues: u32, pps: f64, packets: u64) -> FlowEngine {
             alpha: 1.2,
         },
         sizes: Workload::Imix,
-    };
-    FlowEngine::new(cfg, profile)
+    }
+}
+
+fn engine(flows: u32, queues: u32, pps: f64, packets: u64) -> FlowEngine {
+    FlowEngine::new(config(queues), profile(flows, pps, packets))
 }
 
 fn run(e: &FlowEngine, pool: &Pool) -> FlowRunReport {
@@ -87,12 +87,18 @@ fn run(e: &FlowEngine, pool: &Pool) -> FlowRunReport {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let queues = env_u32("PCIE_BENCH_QUEUES", if quick { 4 } else { 8 });
-    let flows = env_u32("PCIE_BENCH_FLOWS", if quick { 50_000 } else { 1_250_000 });
+    let queues = env_or::<u32>("PCIE_BENCH_QUEUES", if quick { 4 } else { 8 });
+    let flows = env_or::<u32>("PCIE_BENCH_FLOWS", if quick { 50_000 } else { 1_250_000 });
     let packets = n(if quick { 24_000 } else { 200_000 }) as u64;
     let sweep = if quick { SWEEP_QUICK } else { SWEEP };
     let pool = Pool::from_env();
+    if let Err(e) = config(queues).validate() {
+        exit_usage(format_args!("invalid PCIE_BENCH_QUEUES={queues}: {e}"));
+    }
     let capacity_mpps = service().capacity_pps() * f64::from(queues) / 1e6;
+    if let Err(e) = profile(flows, sweep[0] * capacity_mpps * 1e6, packets).validate() {
+        exit_usage(format_args!("invalid PCIE_BENCH_FLOWS={flows}: {e}"));
+    }
 
     header(&format!(
         "Extension — {flows} concurrent flows over {queues} RSS queues \

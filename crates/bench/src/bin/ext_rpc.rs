@@ -31,10 +31,10 @@
 //!         [-- --path bypass|bounce|both]`
 //! Env: `PCIE_BENCH_RPC_PATH` selects the datapath when `--path` is
 //! absent; `PCIE_BENCH_QUEUES` overrides the RSS queue count (default
-//! 4); `PCIE_BENCH_N` scales RPC counts; `PCIE_BENCH_THREADS` sizes
-//! the worker pool.
+//! 4; 1–256); `PCIE_BENCH_N` scales RPC counts; `PCIE_BENCH_THREADS`
+//! sizes the worker pool. An unparsable or out-of-range value exits 2.
 
-use pcie_bench_harness::{header, n};
+use pcie_bench_harness::{env_or, exit_usage, header, n};
 use pcie_par::Pool;
 use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
 use pcie_telemetry::{RpcStage, StageSet};
@@ -42,13 +42,6 @@ use pcie_telemetry::{RpcStage, StageSet};
 /// Offered load points as fractions of aggregate accelerator capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
 const SWEEP_QUICK: &[f64] = &[0.5, 1.2, 2.0];
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The datapaths to run: `--path bypass|bounce|both` on the command
 /// line, else `PCIE_BENCH_RPC_PATH`, else both (the headline is the
@@ -70,13 +63,10 @@ fn selected_paths() -> Vec<Datapath> {
         }
         Some(s) => match Datapath::parse(s) {
             Ok(d) => vec![d],
-            Err(_) => {
-                eprintln!(
-                    "unknown --path / PCIE_BENCH_RPC_PATH '{s}'; \
-                     expected bypass, bounce or both"
-                );
-                std::process::exit(2);
-            }
+            Err(_) => exit_usage(format_args!(
+                "unknown --path / PCIE_BENCH_RPC_PATH '{s}'; \
+                 expected bypass, bounce or both"
+            )),
         },
     }
 }
@@ -92,16 +82,22 @@ fn engine(queues: u32, datapath: Datapath, rps: f64, rpcs: u64) -> RpcEngine {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let queues = env_u32("PCIE_BENCH_QUEUES", 4);
+    let queues = env_or::<u32>("PCIE_BENCH_QUEUES", 4);
     let rpcs = n(if quick { 24_000 } else { 200_000 }) as u64;
     let sweep = if quick { SWEEP_QUICK } else { SWEEP };
     let paths = selected_paths();
     let pool = Pool::from_env();
-    let capacity_rps = RpcEngineConfig {
+    let base = RpcEngineConfig {
         queues,
         ..RpcEngineConfig::default()
+    };
+    if let Err(e) = base.validate() {
+        exit_usage(format_args!("invalid PCIE_BENCH_QUEUES={queues}: {e}"));
     }
-    .capacity_rps();
+    let capacity_rps = base.capacity_rps();
+    if let Err(e) = RpcProfile::standard(sweep[0] * capacity_rps, rpcs).validate() {
+        exit_usage(format_args!("invalid RPC profile: {e}"));
+    }
 
     header(&format!(
         "Extension — RPC serving over the switch fabric: {} across {queues} \

@@ -18,7 +18,8 @@
 //!   --seed <n>           RNG seed
 //!   --ber <rate>         per-bit error rate injected on both link
 //!                        directions (default 0 = fault-free; also
-//!                        settable via PCIE_BENCH_BER, the flag wins).
+//!                        settable via PCIE_BENCH_BER, the flag wins;
+//!                        an unparsable value in either exits 2).
 //!                        Nonzero rates exercise the DLL replay
 //!                        protocol: NAKs, retransmissions, and the
 //!                        replay latency stage
@@ -95,10 +96,7 @@ fn main() {
     let mut telemetry = false;
     let mut out: Option<String> = None;
     // PCIE_BENCH_BER seeds the default; an explicit --ber wins.
-    let mut ber: f64 = std::env::var("PCIE_BENCH_BER")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+    let mut ber: f64 = pcie_bench_harness::env_or("PCIE_BENCH_BER", 0.0);
 
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {

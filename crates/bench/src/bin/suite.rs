@@ -7,10 +7,13 @@
 //!   PCIE_BENCH_SYSTEM=netfpga-hsw cargo run --release --bin suite
 //!   PCIE_BENCH_THREADS=8 cargo run --release --bin suite   # pool width
 //!
+//! `PCIE_BENCH_SUITE` takes `quick` (the default) or `paper`; any
+//! other value, or an unknown system, exits 2.
+//!
 //! Independent grid points run on the `pcie-par` worker pool; output
 //! is bit-identical for every thread count.
 
-use pcie_bench_harness::header;
+use pcie_bench_harness::{env_or, exit_usage, header};
 use pciebench::suite::{format_suite, run_suite_timed, SuiteConfig};
 use pciebench::{BenchSetup, Pool};
 
@@ -28,9 +31,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cfg = match std::env::var("PCIE_BENCH_SUITE").as_deref() {
-        Ok("paper") => SuiteConfig::paper(),
-        _ => SuiteConfig::quick(),
+    let cfg = match env_or("PCIE_BENCH_SUITE", String::from("quick")).as_str() {
+        "quick" => SuiteConfig::quick(),
+        "paper" => SuiteConfig::paper(),
+        other => exit_usage(format_args!(
+            "unknown PCIE_BENCH_SUITE '{other}'; expected quick or paper"
+        )),
     };
     header(&format!(
         "pcie-bench full suite on {} — {} individual tests",

@@ -27,14 +27,41 @@
 #![warn(missing_docs)]
 
 use pciebench::{BenchParams, BenchSetup, Snapshot};
+use std::env::VarError;
+use std::fmt::Display;
+use std::str::FromStr;
+
+/// Prints `msg` on stderr and exits 2, the binaries' exit code for
+/// bad input (an unknown name, a knob out of range).
+pub fn exit_usage(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// Environment variable `name` parsed as `T`, or `default` when it is
+/// unset. A value that does not parse exits 2 (see [`exit_usage`])
+/// with a message naming the variable, instead of silently running
+/// with the default.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(s) => s.parse().unwrap_or_else(|_| {
+            exit_usage(format_args!(
+                "{name}='{s}' is not a valid {}",
+                std::any::type_name::<T>()
+            ))
+        }),
+        Err(VarError::NotPresent) => default,
+        Err(VarError::NotUnicode(s)) => {
+            exit_usage(format_args!("{name}={s:?} is not valid Unicode"))
+        }
+    }
+}
 
 /// Transaction-count scale factor from the `PCIE_BENCH_N` environment
-/// variable (default 1.0). Figures use `(base as f64 * scale) as usize`.
+/// variable (default 1.0; unparsable exits 2). Figures use
+/// `(base as f64 * scale) as usize`.
 pub fn scale() -> f64 {
-    std::env::var("PCIE_BENCH_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    env_or("PCIE_BENCH_N", 1.0)
 }
 
 /// Scaled transaction count.

@@ -1,6 +1,7 @@
-//! `pciebench_cli`, and the `ext_rpc` and `ext_drivers` selectors,
-//! reject bad input with exit code 2 and a message, never with a panic
-//! (exit code 101).
+//! `pciebench_cli`, the `ext_rpc` and `ext_drivers` selectors and the
+//! binaries' environment knobs reject bad input with exit code 2 and a
+//! message, never with a panic (exit code 101) or by running with a
+//! default instead.
 
 use std::process::{Command, Output};
 
@@ -59,4 +60,49 @@ fn small_command_interface_read_runs() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("n=10"));
+}
+
+/// Every knob a case below sets, cleared first so the caller's
+/// environment cannot mask a case.
+const KNOBS: [&str; 6] = [
+    "PCIE_BENCH_QUEUES",
+    "PCIE_BENCH_FLOWS",
+    "PCIE_BENCH_N",
+    "PCIE_BENCH_SUITE",
+    "PCIE_BENCH_BER",
+    "PCIE_BENCH_RPC_PATH",
+];
+
+#[test]
+fn bad_knobs_exit_2_naming_the_variable() {
+    let rpc = env!("CARGO_BIN_EXE_ext_rpc");
+    let flows = env!("CARGO_BIN_EXE_ext_flows");
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let cli = env!("CARGO_BIN_EXE_pciebench_cli");
+    for (bin, args, (var, value)) in [
+        (rpc, &["--quick"][..], ("PCIE_BENCH_QUEUES", "0")),
+        (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "257")),
+        (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "abc")),
+        (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "0")),
+        (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
+        (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "0")),
+        (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "abc")),
+        (suite, &[], ("PCIE_BENCH_SUITE", "bogus")),
+        (cli, &["LAT_RD"], ("PCIE_BENCH_BER", "abc")),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.args(args);
+        for k in KNOBS {
+            cmd.env_remove(k);
+        }
+        let out = cmd.env(var, value).output().expect("spawn");
+        let what = format!("{var}={value} {bin} {args:?}");
+        assert_exits_2(&what, &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(var),
+            "{what}: message must name {var}: {stderr}"
+        );
+    }
 }

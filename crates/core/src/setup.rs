@@ -145,7 +145,7 @@ impl BenchSetup {
     /// NIC DMA engines stream from deep descriptor queues rather than
     /// parking a firmware worker per round trip.
     pub fn build_nic_platform(&self) -> Platform {
-        let mut host = HostSystem::new(self.preset.clone(), self.seed);
+        let mut host = HostSystem::new(self.preset, self.seed);
         host.set_iommu(match self.iommu {
             IommuMode::Off => None,
             IommuMode::FourK => Some(Iommu::intel_4k()),
@@ -192,7 +192,7 @@ impl BenchSetup {
         };
         let mut alloc = BufferAllocator::default_layout();
         let buf = alloc.alloc(params.window.max(4096), node);
-        let mut host = HostSystem::new_reusing(self.preset.clone(), self.seed, pool);
+        let mut host = HostSystem::new_reusing(self.preset, self.seed, pool);
         host.set_iommu(match self.iommu {
             IommuMode::Off => None,
             IommuMode::FourK => Some(Iommu::intel_4k()),

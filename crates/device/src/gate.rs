@@ -14,9 +14,21 @@
 //! a pop from the front, and only a genuinely out-of-order release
 //! pays an insertion shift. This beats a binary heap on the per-TLP
 //! path, where every transaction passes through two or three gates.
+//!
+//! The list is allocated once, when the gate is built, with room for
+//! up to 128 held slots: every gate of the paper's two devices fits
+//! (the NFP's 96 workers all fill in a bandwidth run), so their DMA
+//! path allocates nothing per transaction. A larger gate (the NIC
+//! profile's 2 048 workers) grows its list only on a rare peak that
+//! holds more: sizing it to the full capacity up front made the
+//! driver zoo slower (DESIGN.md §11), since a list that slides
+//! through a large ring touches more cache lines.
 
 use pcie_sim::SimTime;
 use std::collections::VecDeque;
+
+/// Held slots a gate's release list has room for when it is built.
+const PREALLOC_SLOTS: usize = 128;
 
 /// A resource with `capacity` slots held until explicit future release
 /// instants.
@@ -33,12 +45,13 @@ pub struct SlotGate {
 }
 
 impl SlotGate {
-    /// A gate with `capacity` slots (must be ≥ 1).
+    /// A gate with `capacity` slots (must be ≥ 1). Its release list
+    /// starts with room for `capacity`, or 128 slots if that is fewer.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "gate needs at least one slot");
         SlotGate {
             capacity,
-            releases: VecDeque::new(),
+            releases: VecDeque::with_capacity(capacity.min(PREALLOC_SLOTS)),
             wait_accum: SimTime::ZERO,
             acquires: 0,
             stalls: 0,

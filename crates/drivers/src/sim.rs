@@ -198,6 +198,14 @@ struct TxItem {
 /// lag, generalised to an event queue (see
 /// [`EventQueue::pop_before`]). RX refill phases share the queue, so
 /// they keep their FIFO tie order with the TX phases.
+///
+/// Each TX batch owns its item buffer from `TxDoorbell` to
+/// `TxPayload`, because batches need not reach `TxPayload` in batch
+/// order: a longer descriptor read can finish after a shorter one
+/// issued later. The buffers come from, and go back to,
+/// `DriverSim::tx_spare`, so a run allocates them only while the
+/// number of batches in flight, or a batch's length, reaches a new
+/// peak.
 #[derive(Debug, Clone)]
 enum Deferred {
     /// Driver publishes TX descriptors and rings the doorbell.
@@ -270,6 +278,9 @@ pub struct DriverSim {
     /// Latest TX wire completion.
     done_max: SimTime,
     slot_scratch: Vec<u32>,
+    /// Empty TX batch buffers (see [`Deferred`]): `service` takes one,
+    /// `TxPayload` clears it and puts it back.
+    tx_spare: Vec<Vec<TxItem>>,
 }
 
 impl DriverSim {
@@ -309,6 +320,7 @@ impl DriverSim {
             rng: SplitMix64::salted(cfg.seed, DRIVER_STREAM_SALT).fork(),
             done_max: fill_done,
             slot_scratch: Vec::with_capacity(1024),
+            tx_spare: Vec::new(),
         }
     }
 
@@ -554,8 +566,10 @@ impl DriverSim {
         };
         let cfg = self.cfg;
         let mut t = aware;
-        let mut tx_queue: Vec<TxItem> =
-            Vec::with_capacity(self.rx.pending().len().min(limit as usize));
+        let mut tx_queue = self
+            .tx_spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.rx.pending().len().min(limit as usize)));
         let mut taken = 0u32;
         while taken < limit {
             let Some(p) = self.rx.take_visible(aware) else {
@@ -606,7 +620,9 @@ impl DriverSim {
         // Schedule (not issue) the device interactions this round
         // decided on; `advance_driver` issues them when the clock gets
         // there, in order with the arrival stream.
-        if !tx_queue.is_empty() {
+        if tx_queue.is_empty() {
+            self.tx_spare.push(tx_queue);
+        } else {
             self.schedule(self.cpu_free, Deferred::TxDoorbell { items: tx_queue });
         }
         // Buffers return to the free list only after the driver has
@@ -659,18 +675,18 @@ impl DriverSim {
                 }
                 self.schedule(desc_done, Deferred::TxPayload { db_arr, items });
             }
-            Deferred::TxPayload { db_arr, items } => {
+            Deferred::TxPayload { db_arr, mut items } => {
                 // TX slots mirror the RX slots in the buffer's upper half.
                 let tx_base = u64::from(RX_SLOTS) * SLOT_BYTES;
                 let pkt_size = self.run_pkt_size;
                 let n = items.len() as u32;
                 let mut last_done = at;
-                for TxItem {
+                for &TxItem {
                     p,
                     aware,
                     proc_done,
                     app_done,
-                } in items
+                } in &items
                 {
                     let tx_off = tx_base + u64::from(p.slot) * SLOT_BYTES;
                     let r = self.platform.dma_read(
@@ -693,6 +709,8 @@ impl DriverSim {
                     self.counters.delivered += 1;
                     self.done_max = self.done_max.max(r.done);
                 }
+                items.clear();
+                self.tx_spare.push(items);
                 // One TX completion write-back per batch (write-back
                 // coalescing, one of §5's descriptor optimisations).
                 self.schedule(last_done, Deferred::TxWriteback { n });

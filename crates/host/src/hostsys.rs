@@ -128,7 +128,7 @@ impl HostSystem {
             nodes,
             iommu: None,
             rc: Timeline::new(),
-            line_fences: VecDeque::new(),
+            line_fences: VecDeque::with_capacity(FENCE_SWEEP_MIN),
             fence_horizon: SimTime::ZERO,
             fence_sweep_at: FENCE_SWEEP_MIN,
             rng: SplitMix64::new(seed),

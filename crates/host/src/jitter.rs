@@ -15,30 +15,47 @@
 
 use pcie_sim::{SimTime, SplitMix64};
 
+/// Most knots a [`JitterModel`] holds (the E3 preset uses all eight).
+pub const MAX_KNOTS: usize = 8;
+
 /// A piecewise-linear quantile function for extra per-transaction
 /// latency.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Knots and lookup table are fixed arrays, so a model is `Copy` and
+/// building or copying one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// `(cumulative probability, extra latency in ns)` knots, sorted by
-    /// probability, first at p=0, last at p=1.
-    knots: Vec<(f64, f64)>,
+    /// probability, first at p=0, last at p=1: `knots[..len]`. The
+    /// unused tail stays zero, so equal knot lists compare equal.
+    knots: [(f64, f64); MAX_KNOTS],
+    /// Knots in use.
+    len: usize,
     /// Per-bucket segment-count bounds: bucket `b` covers
     /// `u ∈ [b/256, (b+1)/256)` and stores how many knots in
-    /// `knots[1..]` lie strictly below each boundary. When the two
+    /// `knots[1..len]` lie strictly below each boundary. When the two
     /// counts agree the whole bucket sits inside one segment and the
     /// lookup is O(1); otherwise only the knots between the counts are
-    /// tested. Derived from `knots`, so excluded from `PartialEq`-
-    /// relevant state only in the sense that equal knots imply equal
+    /// tested. Derived from `knots`, so equal knots imply equal
     /// buckets.
-    buckets: Vec<(u16, u16)>,
+    buckets: [(u8, u8); 256],
 }
 
 impl JitterModel {
     /// Builds a model from quantile knots. Knots must start at
     /// probability 0, end at 1, and be sorted and non-decreasing in
     /// both coordinates.
-    pub fn from_quantiles(knots: Vec<(f64, f64)>) -> Self {
+    ///
+    /// # Panics
+    /// On knots that break those rules, or on more than [`MAX_KNOTS`]
+    /// of them.
+    pub fn from_quantiles(knots: &[(f64, f64)]) -> Self {
         assert!(knots.len() >= 2, "need at least (0,_) and (1,_)");
+        assert!(
+            knots.len() <= MAX_KNOTS,
+            "{} knots exceed the limit of MAX_KNOTS = {MAX_KNOTS}",
+            knots.len()
+        );
         assert_eq!(knots.first().unwrap().0, 0.0, "first knot at p=0");
         assert_eq!(knots.last().unwrap().0, 1.0, "last knot at p=1");
         for w in knots.windows(2) {
@@ -46,21 +63,25 @@ impl JitterModel {
             assert!(w[0].1 <= w[1].1, "quantiles must be non-decreasing");
         }
         assert!(knots[0].1 >= 0.0, "extra latency cannot be negative");
-        let count_below = |p: f64| knots[1..].iter().filter(|k| k.0 < p).count() as u16;
-        let buckets = (0..256u32)
-            .map(|b| {
-                (
-                    count_below(b as f64 / 256.0),
-                    count_below((b + 1) as f64 / 256.0),
-                )
-            })
-            .collect();
-        JitterModel { knots, buckets }
+        let count_below = |p: f64| knots[1..].iter().filter(|k| k.0 < p).count() as u8;
+        let mut model = JitterModel {
+            knots: [(0.0, 0.0); MAX_KNOTS],
+            len: knots.len(),
+            buckets: [(0, 0); 256],
+        };
+        model.knots[..knots.len()].copy_from_slice(knots);
+        for (b, bucket) in model.buckets.iter_mut().enumerate() {
+            *bucket = (
+                count_below(b as f64 / 256.0),
+                count_below((b + 1) as f64 / 256.0),
+            );
+        }
+        model
     }
 
     /// No jitter at all.
     pub fn none() -> Self {
-        JitterModel::from_quantiles(vec![(0.0, 0.0), (1.0, 0.0)])
+        JitterModel::from_quantiles(&[(0.0, 0.0), (1.0, 0.0)])
     }
 
     /// The tight E5-like band: nearly all transactions within a few
@@ -68,7 +89,7 @@ impl JitterModel {
     /// NFP6000-HSW: 99.9 % within 80 ns of the 520 ns minimum,
     /// max 947 ns over 2 M samples).
     pub fn xeon_e5() -> Self {
-        JitterModel::from_quantiles(vec![
+        JitterModel::from_quantiles(&[
             (0.0, 0.0),
             (0.50, 27.0),
             (0.95, 55.0),
@@ -83,7 +104,7 @@ impl JitterModel {
     /// p99.9 ≈ 12 µs, extreme tail to ≈ 5.8 ms). Values here are the
     /// *extra* latency over the ~490 ns floor.
     pub fn xeon_e3() -> Self {
-        JitterModel::from_quantiles(vec![
+        JitterModel::from_quantiles(&[
             (0.0, 0.0),
             (0.30, 350.0),
             (0.63, 780.0), // median region: ~1213ns total
@@ -100,7 +121,7 @@ impl JitterModel {
     /// remains — enough to hurt small-transfer bandwidth while ≥512 B
     /// transfers match the E5 (§6.2).
     pub fn xeon_e3_busy() -> Self {
-        JitterModel::from_quantiles(vec![(0.0, 0.0), (0.5, 320.0), (0.9, 550.0), (1.0, 900.0)])
+        JitterModel::from_quantiles(&[(0.0, 0.0), (0.5, 320.0), (0.9, 550.0), (1.0, 900.0)])
     }
 
     /// Draws one extra-latency sample.
@@ -125,7 +146,7 @@ impl JitterModel {
             idx += usize::from(k.0 < u);
         }
         // `u == 1.0` counts every interior knot; stay on the last segment.
-        let idx = idx.min(self.knots.len() - 2);
+        let idx = idx.min(self.len - 2);
         let (p0, v0) = self.knots[idx];
         let (p1, v1) = self.knots[idx + 1];
         let span = p1 - p0;
@@ -135,7 +156,7 @@ impl JitterModel {
 
     /// Whether this model is identically zero.
     pub fn is_none(&self) -> bool {
-        self.knots.iter().all(|&(_, v)| v == 0.0)
+        self.knots[..self.len].iter().all(|&(_, v)| v == 0.0)
     }
 }
 
@@ -145,7 +166,7 @@ mod tests {
 
     #[test]
     fn quantile_interpolates() {
-        let m = JitterModel::from_quantiles(vec![(0.0, 0.0), (0.5, 100.0), (1.0, 200.0)]);
+        let m = JitterModel::from_quantiles(&[(0.0, 0.0), (0.5, 100.0), (1.0, 200.0)]);
         assert_eq!(m.quantile(0.0), 0.0);
         assert_eq!(m.quantile(0.25), 50.0);
         assert_eq!(m.quantile(0.5), 100.0);
@@ -209,12 +230,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn rejects_decreasing_quantiles() {
-        JitterModel::from_quantiles(vec![(0.0, 10.0), (0.5, 5.0), (1.0, 20.0)]);
+        JitterModel::from_quantiles(&[(0.0, 10.0), (0.5, 5.0), (1.0, 20.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of MAX_KNOTS = 8")]
+    fn rejects_too_many_knots() {
+        let knots: Vec<(f64, f64)> = (0..=MAX_KNOTS)
+            .map(|i| (i as f64 / 8.0, i as f64))
+            .collect();
+        JitterModel::from_quantiles(&knots);
     }
 
     #[test]
     #[should_panic(expected = "p=0")]
     fn rejects_missing_zero_knot() {
-        JitterModel::from_quantiles(vec![(0.1, 0.0), (1.0, 1.0)]);
+        JitterModel::from_quantiles(&[(0.1, 0.0), (1.0, 1.0)]);
     }
 }

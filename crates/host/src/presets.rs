@@ -45,8 +45,9 @@ pub struct HostLatencies {
     pub interconnect_gap: SimTime,
 }
 
-/// One row of Table 1, plus calibration.
-#[derive(Debug, Clone, PartialEq)]
+/// One row of Table 1, plus calibration. `Copy`: it holds no heap
+/// data, so every platform built from a preset copies it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostPreset {
     /// System name as used in the paper (e.g. "NFP6000-HSW").
     pub name: &'static str,

@@ -80,7 +80,7 @@ impl DirState {
             since_fc: 0,
             dllp_debt: 0,
             next_seq: 0,
-            replay_buf: VecDeque::new(),
+            replay_buf: VecDeque::with_capacity(REPLAY_BUFFER_TLPS),
         }
     }
 }

@@ -94,24 +94,20 @@ impl NicSim {
         // engine busy without unbounded queue build-up (and keeps the
         // timeline reservations time-ordered).
         const WINDOW: usize = 128;
-        let mut dones: Vec<SimTime> = Vec::with_capacity(n as usize);
+        // Completion of packet `j` in slot `j % (2 * WINDOW)`: the ring
+        // holds the last 2 * WINDOW packets, and a slot not yet written
+        // reads as time zero, the base of the first packets.
+        let mut dones = [SimTime::ZERO; 2 * WINDOW];
         for i in 0..n {
-            let i_us = i as usize;
-            let want = if i_us >= WINDOW {
-                dones[i_us - WINDOW]
-            } else {
-                SimTime::ZERO
-            };
+            let slot = i as usize % (2 * WINDOW);
+            // Packet i - WINDOW.
+            let want = dones[(slot + WINDOW) % (2 * WINDOW)];
             // Bookkeeping (descriptor fetches are prefetched well ahead
             // of need; write-backs, interrupts and register reads refer
             // to packets completed earlier), so it is issued against an
-            // older time base. This both matches reality and keeps the
-            // FIFO wire timelines time-ordered.
-            let lag = if i_us >= 2 * WINDOW {
-                dones[i_us - 2 * WINDOW]
-            } else {
-                SimTime::ZERO
-            };
+            // older time base: packet i - 2 * WINDOW. This both matches
+            // reality and keeps the FIFO wire timelines time-ordered.
+            let lag = dones[slot];
             let tx_off = (i % pkt_slots) as u64 * 2048;
             let rx_off = self.pkt_buf.len() / 2 + tx_off;
             let mut pkt_done = want;
@@ -195,7 +191,7 @@ impl NicSim {
                     self.platform.pio_read(lag, 4);
                 }
             }
-            dones.push(pkt_done);
+            dones[slot] = pkt_done;
             last = last.max(pkt_done);
         }
         let elapsed = last;

@@ -28,6 +28,11 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# simbench counts allocations in a release build, so the allocation
+# pins must hold there too, not only in the debug build above.
+echo "==> cargo test --release --test steady_alloc -q"
+cargo test --release --test steady_alloc -q
+
 # The root manifest is itself a package, so without --workspace these
 # two would check only the facade crate.
 echo "==> cargo doc --workspace --no-deps (warnings are errors, unconditionally)"

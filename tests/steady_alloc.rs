@@ -2,62 +2,68 @@
 //!
 //! A counting `#[global_allocator]` (this test binary's own, so the
 //! libraries keep `forbid(unsafe_code)`) counts every `alloc`,
-//! `alloc_zeroed` and `realloc` on the calling thread. Each check runs
-//! on its test's own thread, so tests running beside it cannot move
-//! its count.
+//! `alloc_zeroed` and `realloc` on the calling thread, and the bytes
+//! each asks for. Each check runs on its test's own thread, so tests
+//! running beside it cannot move its count.
 //!
 //! - The event queue, once it has held its peak number of events,
 //!   allocates nothing per push or pop.
-//! - `QueueSim::run` and `RpcQueueSim::run` make a fixed number of
-//!   allocations (buffers growing to their working size), whatever
-//!   the length of the schedule: none per packet or RPC.
-//!
-//! `DriverSim` is left out: each service round allocates the
-//! `Vec<TxItem>` batch it carries through the TX phases, so its count
-//! grows with the packet count. Batches cannot share one deque, since
-//! a longer descriptor read can finish after a shorter one issued
-//! later.
+//! - A platform from `BenchSetup::build` allocates nothing over its
+//!   DMAs: every queue it keeps is sized when it is built.
+//! - `QueueSim::run`, `RpcQueueSim::run` and `NicSim::run` make a
+//!   fixed number of allocations (buffers growing to their working
+//!   size), whatever the length of the schedule: none per packet or
+//!   RPC.
+//! - `DriverSim::run` recycles its TX batch buffers, so only a new
+//!   peak of batches in flight, or of a batch's length, allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pcie_bench_repro::bench::BenchSetup;
+use pcie_bench_repro::bench::{BenchParams, BenchSetup, IommuMode};
+use pcie_bench_repro::device::DmaPath;
+use pcie_bench_repro::drivers::{DriverConfig, DriverSim, OfferedLoad, PATTERNS};
 use pcie_bench_repro::flows::{QueueSim, QueuedPacket, ServiceModel};
+use pcie_bench_repro::model::NicModelParams;
+use pcie_bench_repro::nic::NicSim;
 use pcie_bench_repro::rpc::engine::build_platform;
 use pcie_bench_repro::rpc::{Datapath, QueuedRpc, RpcEngineConfig, RpcQueueSim};
 use pcie_bench_repro::sim::{EventQueue, SimTime, SplitMix64};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting allocations per thread.
+/// The system allocator, counting allocations and their bytes per
+/// thread.
 struct Counting;
 
-fn note() {
+fn note(bytes: usize) {
     // A const-initialised `Cell` needs no lazy set-up and has no
     // destructor, so counting never allocates (which would recurse).
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counting touches only
-// a thread-local integer.
+// thread-local integers.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's guarantees for `layout` carry over.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: the caller guarantees `ptr` came from this allocator
         // (hence from `System`) with `layout`, and `new_size` is valid.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -75,9 +81,17 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `f` makes on this thread, and its result.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+    let ((allocs, _), r) = allocated(f);
+    (allocs, r)
+}
+
+/// Allocations `f` makes on this thread and the bytes they ask for,
+/// and its result.
+fn allocated<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
+    let after = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), r)
 }
 
 /// Pops the earliest event and schedules its successor 0–20 µs later,
@@ -100,6 +114,50 @@ fn event_queue_cycle_allocates_nothing() {
     let (allocs, ()) = allocations(|| cycle(&mut q, &mut rng, 200_000));
     assert_eq!(allocs, 0, "200 000 pops and pushes after warm-up");
     assert_eq!(q.len(), 1_024);
+}
+
+/// 24 000 DMAs on a platform fresh from `BenchSetup::build`: reads,
+/// writes and write-reads in turn, of 64 B to 2 KiB at random offsets
+/// in a 1 MiB window (four times the IO-TLB's reach at 4 KiB pages),
+/// each wanted at time zero or at the previous one's completion.
+/// Returns the allocations the DMAs made.
+fn dma_loop(iommu: IommuMode, chained: bool) -> u64 {
+    const WINDOW: u64 = 1 << 20;
+    let params = BenchParams {
+        window: WINDOW,
+        ..BenchParams::baseline(64)
+    };
+    let (mut platform, buf) = BenchSetup::nfp6000_hsw().with_iommu(iommu).build(&params);
+    let mut rng = SplitMix64::new(24);
+    let (allocs, ()) = allocations(|| {
+        let mut want = SimTime::ZERO;
+        for i in 0..24_000u32 {
+            let len = 64 << (i / 3 % 6);
+            let off = rng.next_u64() % (WINDOW - u64::from(len));
+            let r = match i % 3 {
+                0 => platform.dma_read(want, &buf, off, len, DmaPath::DmaEngine),
+                1 => platform.dma_write(want, &buf, off, len, DmaPath::DmaEngine),
+                _ => platform.dma_write_read(want, &buf, off, len, DmaPath::DmaEngine),
+            };
+            if chained {
+                want = r.done;
+            }
+        }
+    });
+    allocs
+}
+
+#[test]
+fn dma_loop_allocates_nothing_after_build() {
+    for iommu in [IommuMode::Off, IommuMode::FourK] {
+        for chained in [false, true] {
+            assert_eq!(
+                dma_loop(iommu, chained),
+                0,
+                "iommu {iommu:?}, chained {chained}: 24 000 DMAs after build"
+            );
+        }
+    }
 }
 
 #[test]
@@ -157,5 +215,56 @@ fn rpc_queue_sim_allocations_do_not_grow_with_rpcs() {
             "{}: allocations for 5k/10k/20k RPCs: {counts:?}",
             datapath.name()
         );
+    }
+}
+
+#[test]
+fn nic_sim_allocations_do_not_grow_with_packets() {
+    for (name, params) in [
+        ("simple", NicModelParams::simple()),
+        ("kernel", NicModelParams::kernel()),
+        ("dpdk", NicModelParams::dpdk()),
+    ] {
+        let counts: Vec<(u64, u64)> = [5_000u32, 20_000]
+            .iter()
+            .map(|&n| {
+                let mut sim = NicSim::new(params, BenchSetup::nfp6000_hsw().build_nic_platform());
+                let (counts, r) = allocated(|| sim.run(1500, n));
+                assert_eq!(r.packets, n);
+                counts
+            })
+            .collect();
+        assert_eq!(
+            counts[0], counts[1],
+            "{name}: (allocations, bytes) for 5k/20k packets"
+        );
+    }
+}
+
+#[test]
+fn driver_sim_allocations_do_not_grow_with_packets() {
+    for pattern in PATTERNS {
+        for load in [OfferedLoad::Saturate, OfferedLoad::OpenLoopGbps(0.8)] {
+            let counts: Vec<u64> = [5_000u32, 20_000]
+                .iter()
+                .map(|&n| {
+                    let mut sim = DriverSim::new(
+                        pattern,
+                        DriverConfig::default().with_load(load),
+                        BenchSetup::nfp6000_hsw().build_nic_platform(),
+                    );
+                    let (allocs, r) = allocations(|| sim.run(1500, n));
+                    assert_eq!(r.offered, u64::from(n));
+                    allocs
+                })
+                .collect();
+            // A recycled batch buffer still grows on a new peak, which
+            // a longer run may reach: a handful, never one per packet.
+            assert!(
+                counts[1] <= counts[0] + 16,
+                "{} {load:?}: allocations for 5k/20k packets: {counts:?}",
+                pattern.name()
+            );
+        }
     }
 }
