@@ -95,8 +95,10 @@ fn main() {
     let mut seed: Option<u64> = None;
     let mut telemetry = false;
     let mut out: Option<String> = None;
-    // PCIE_BENCH_BER seeds the default; an explicit --ber wins.
+    // PCIE_BENCH_BER seeds the default; an explicit --ber wins. A rate
+    // out of range is reported under the name it came from.
     let mut ber: f64 = pcie_bench_harness::env_or("PCIE_BENCH_BER", 0.0);
+    let mut ber_from = "PCIE_BENCH_BER";
 
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
@@ -145,23 +147,19 @@ fn main() {
             }
             "--count" => count = Some(val().parse().unwrap_or_else(|_| usage())),
             "--seed" => seed = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--ber" => ber = val().parse().unwrap_or_else(|_| usage()),
+            "--ber" => {
+                ber = val().parse().unwrap_or_else(|_| usage());
+                ber_from = "--ber";
+            }
             "--telemetry" => telemetry = true,
             "--out" => out = Some(val().to_string()),
             _ => usage(),
         }
     }
 
-    let mut setup = match system.as_str() {
-        "nfp6000-hsw" => BenchSetup::nfp6000_hsw(),
-        "netfpga-hsw" => BenchSetup::netfpga_hsw(),
-        "nfp6000-hsw-e3" => BenchSetup::nfp6000_hsw_e3(),
-        "nfp6000-bdw" => BenchSetup::nfp6000_bdw(),
-        "nfp6000-snb" => BenchSetup::nfp6000_snb(),
-        "nfp6000-ib" => BenchSetup::nfp6000_ib(),
-        _ => usage(),
-    }
-    .with_iommu(iommu);
+    let mut setup = BenchSetup::named(&system)
+        .unwrap_or_else(|e| invalid(&format!("--system: {e}")))
+        .with_iommu(iommu);
     if let Some(s) = seed {
         setup = setup.with_seed(s);
     }
@@ -169,7 +167,7 @@ fn main() {
         setup = setup.with_telemetry();
     }
     if !(0.0..=1.0).contains(&ber) {
-        invalid("--ber must be in [0, 1]");
+        invalid(&format!("{ber_from} must be in [0, 1]"));
     }
     if ber > 0.0 {
         setup = setup.with_ber(ber);

@@ -8,7 +8,8 @@
 //!   PCIE_BENCH_THREADS=8 cargo run --release --bin suite   # pool width
 //!
 //! `PCIE_BENCH_SUITE` takes `quick` (the default) or `paper`; any
-//! other value, or an unknown system, exits 2.
+//! other value, or an unknown `PCIE_BENCH_SYSTEM`, exits 2 with a
+//! message naming the variable.
 //!
 //! Independent grid points run on the `pcie-par` worker pool; output
 //! is bit-identical for every thread count.
@@ -18,19 +19,9 @@ use pciebench::suite::{format_suite, run_suite_timed, SuiteConfig};
 use pciebench::{BenchSetup, Pool};
 
 fn main() {
-    let system = std::env::var("PCIE_BENCH_SYSTEM").unwrap_or_else(|_| "nfp6000-hsw".into());
-    let setup = match system.as_str() {
-        "nfp6000-hsw" => BenchSetup::nfp6000_hsw(),
-        "netfpga-hsw" => BenchSetup::netfpga_hsw(),
-        "nfp6000-hsw-e3" => BenchSetup::nfp6000_hsw_e3(),
-        "nfp6000-bdw" => BenchSetup::nfp6000_bdw(),
-        "nfp6000-snb" => BenchSetup::nfp6000_snb(),
-        "nfp6000-ib" => BenchSetup::nfp6000_ib(),
-        other => {
-            eprintln!("unknown system {other}; see source for the list");
-            std::process::exit(2);
-        }
-    };
+    let system = env_or("PCIE_BENCH_SYSTEM", String::from("nfp6000-hsw"));
+    let setup = BenchSetup::named(&system)
+        .unwrap_or_else(|e| exit_usage(format_args!("PCIE_BENCH_SYSTEM: {e}")));
     let cfg = match env_or("PCIE_BENCH_SUITE", String::from("quick")).as_str() {
         "quick" => SuiteConfig::quick(),
         "paper" => SuiteConfig::paper(),

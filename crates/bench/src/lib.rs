@@ -57,11 +57,23 @@ pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
     }
 }
 
+/// The largest `PCIE_BENCH_N` factor [`scale`] accepts: ten times the
+/// paper's own scale (`PCIE_BENCH_N=10`), 2·10⁷ transactions for the
+/// largest binary.
+pub const MAX_SCALE: f64 = 100.0;
+
 /// Transaction-count scale factor from the `PCIE_BENCH_N` environment
-/// variable (default 1.0; unparsable exits 2). Figures use
-/// `(base as f64 * scale) as usize`.
+/// variable (default 1.0). Figures use `(base as f64 * scale) as
+/// usize`. A value that does not parse, is not finite, is not above 0
+/// or exceeds [`MAX_SCALE`] exits 2 naming the variable.
 pub fn scale() -> f64 {
-    env_or("PCIE_BENCH_N", 1.0)
+    let f = env_or("PCIE_BENCH_N", 1.0);
+    if !(f > 0.0 && f <= MAX_SCALE) {
+        exit_usage(format_args!(
+            "PCIE_BENCH_N={f:?} is out of range: the factor must be above 0 and at most {MAX_SCALE}"
+        ));
+    }
+    f
 }
 
 /// Scaled transaction count.

@@ -64,11 +64,12 @@ fn small_command_interface_read_runs() {
 
 /// Every knob a case below sets, cleared first so the caller's
 /// environment cannot mask a case.
-const KNOBS: [&str; 6] = [
+const KNOBS: [&str; 7] = [
     "PCIE_BENCH_QUEUES",
     "PCIE_BENCH_FLOWS",
     "PCIE_BENCH_N",
     "PCIE_BENCH_SUITE",
+    "PCIE_BENCH_SYSTEM",
     "PCIE_BENCH_BER",
     "PCIE_BENCH_RPC_PATH",
 ];
@@ -84,12 +85,19 @@ fn bad_knobs_exit_2_naming_the_variable() {
         (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "257")),
         (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
         (rpc, &["--quick"], ("PCIE_BENCH_N", "abc")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "inf")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "NaN")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "0")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "-1")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "1e30")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "abc")),
         (suite, &[], ("PCIE_BENCH_SUITE", "bogus")),
+        (suite, &[], ("PCIE_BENCH_SYSTEM", "bogus")),
         (cli, &["LAT_RD"], ("PCIE_BENCH_BER", "abc")),
+        (cli, &["LAT_RD"], ("PCIE_BENCH_BER", "2")),
     ] {
         let mut cmd = Command::new(bin);
         cmd.args(args);
@@ -105,4 +113,46 @@ fn bad_knobs_exit_2_naming_the_variable() {
             "{what}: message must name {var}: {stderr}"
         );
     }
+}
+
+/// An unknown system lists the names that are accepted, whichever way
+/// it was given, and a rate out of range set by the flag names the
+/// flag.
+#[test]
+fn knob_errors_name_their_source() {
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let mut cmd = Command::new(suite);
+    for k in KNOBS {
+        cmd.env_remove(k);
+    }
+    let from_env = cmd
+        .env("PCIE_BENCH_SYSTEM", "bogus")
+        .output()
+        .expect("spawn suite");
+    for (what, out, source) in [
+        (
+            "PCIE_BENCH_SYSTEM=bogus suite",
+            from_env,
+            "PCIE_BENCH_SYSTEM",
+        ),
+        (
+            "pciebench_cli --system bogus",
+            run(&["LAT_RD", "--system", "bogus"]),
+            "--system",
+        ),
+    ] {
+        assert_exits_2(what, &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(source), "{what}: names {source}: {stderr}");
+        for name in ["nfp6000-hsw", "netfpga-hsw", "nfp6000-ib"] {
+            assert!(stderr.contains(name), "{what}: lists {name}: {stderr}");
+        }
+    }
+    let out = run(&["LAT_RD", "--ber", "2"]);
+    assert_exits_2("--ber 2", &out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--ber") && !stderr.contains("PCIE_BENCH_BER"),
+        "--ber 2 names the flag: {stderr}"
+    );
 }

@@ -21,6 +21,20 @@ pub enum IommuMode {
     SuperPages,
 }
 
+/// A constructor of one system's setup.
+type Preset = fn() -> BenchSetup;
+
+/// The systems [`BenchSetup::named`] knows, by the names the binaries
+/// take (`pciebench_cli --system`, the suite's `PCIE_BENCH_SYSTEM`).
+const SYSTEMS: [(&str, Preset); 6] = [
+    ("nfp6000-hsw", BenchSetup::nfp6000_hsw),
+    ("netfpga-hsw", BenchSetup::netfpga_hsw),
+    ("nfp6000-hsw-e3", BenchSetup::nfp6000_hsw_e3),
+    ("nfp6000-bdw", BenchSetup::nfp6000_bdw),
+    ("nfp6000-snb", BenchSetup::nfp6000_snb),
+    ("nfp6000-ib", BenchSetup::nfp6000_ib),
+];
+
 /// Everything needed to instantiate a platform for one benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchSetup {
@@ -101,6 +115,22 @@ impl BenchSetup {
         BenchSetup {
             preset: HostPreset::nfp6000_ib(),
             ..Self::nfp6000_hsw()
+        }
+    }
+
+    /// The setup of the system called `name`, such as `nfp6000-hsw` or
+    /// `netfpga-hsw`. An unknown name gives a message that lists the
+    /// accepted ones.
+    pub fn named(name: &str) -> Result<Self, String> {
+        match SYSTEMS.iter().find(|(n, _)| *n == name) {
+            Some((_, setup)) => Ok(setup()),
+            None => {
+                let names: Vec<&str> = SYSTEMS.iter().map(|(n, _)| *n).collect();
+                Err(format!(
+                    "unknown system '{name}'; expected one of {}",
+                    names.join(", ")
+                ))
+            }
         }
     }
 

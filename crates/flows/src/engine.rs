@@ -369,13 +369,13 @@ impl FlowEngine {
                            len_rng: &mut SplitMix64,
                            ordinal: u64| {
             // O(1) indexed member: flow n's 4-tuple is a pure function
-            // of (seed, n), independent of insertion history.
+            // of (seed, n), independent of insertion history. Only
+            // steering needs it, so the table does not keep it.
             let mut key_rng = SplitMix64::stream(seed, salt::FLOW_KEY, ordinal);
-            let key = FlowKey::from_rng(&mut key_rng);
-            let (_, queue) = self.rss.steer(&key);
+            let (_, queue) = self.rss.steer(&FlowKey::from_rng(&mut key_rng));
             let len = self.profile.flow_length.sample(len_rng);
             table
-                .insert(key, queue, len)
+                .insert(queue, len)
                 .expect("table sized to the concurrency target");
             flows_per_queue[usize::from(queue)] += 1;
         };
@@ -400,11 +400,11 @@ impl FlowEngine {
         for _ in 0..self.profile.packets {
             let at = arrivals.next_arrival();
             window = at;
-            let slot = table.pick(&mut pick_rng).expect("table never empties");
+            let pos = table.pick(&mut pick_rng).expect("table never empties");
             let size = self.profile.sizes.next_size(&mut size_rng);
-            let queue = table.queue(slot);
+            let queue = table.queue(pos);
             sched[usize::from(queue)].push(QueuedPacket { at, size });
-            if table.note_packet(slot) {
+            if table.note_packet(pos) {
                 insert_flow(&mut table, &mut flows_per_queue, &mut len_rng, next_ordinal);
                 next_ordinal += 1;
             }

@@ -1,7 +1,8 @@
-//! RSS and flow-engine properties (ISSUE 8 satellite): Toeplitz
-//! known-answer vectors, steering determinism, src/dst symmetry under
-//! the symmetric key, and pool-width stability of the full engine —
-//! `threads:1` vs `threads:N` runs must be bit-identical.
+//! RSS and flow-engine properties: Toeplitz known-answer vectors, the
+//! lookup-table hash against the bit-serial reference, steering
+//! determinism, src/dst symmetry under the symmetric key, and
+//! pool-width stability of the full engine — `threads:1` vs
+//! `threads:N` runs must be bit-identical.
 
 use pcie_bench_repro::bench::BenchSetup;
 use pcie_bench_repro::device::Platform;
@@ -50,10 +51,49 @@ fn toeplitz_matches_microsoft_verification_suite() {
             dst_port: dport,
         };
         assert_eq!(toeplitz_hash(&key, &k.rss_input()), l3l4);
+        let rss = Rss::new(key.clone(), 8);
+        assert_eq!(rss.steer(&k), (l3l4, rss.queue_for_hash(l3l4)));
         let mut addrs = [0u8; 8];
         addrs[..4].copy_from_slice(&src);
         addrs[4..].copy_from_slice(&dst);
         assert_eq!(toeplitz_hash(&key, &addrs), l3);
+    }
+}
+
+/// The 4-tuple whose RSS input is `input`.
+fn flow_of(input: [u8; 12]) -> FlowKey {
+    let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, d0, d1] = input;
+    FlowKey {
+        src_ip: u32::from_be_bytes([a0, a1, a2, a3]),
+        dst_ip: u32::from_be_bytes([b0, b1, b2, b3]),
+        src_port: u16::from_be_bytes([c0, c1]),
+        dst_port: u16::from_be_bytes([d0, d1]),
+    }
+}
+
+/// `Rss::hash` reads a lookup table built from the key; the bit-serial
+/// `toeplitz_hash` is its reference. Both are linear over GF(2) and
+/// every 12-byte input is the XOR of its single-byte inputs, so
+/// agreeing on each byte value at each position means agreeing on
+/// every 4-tuple.
+#[test]
+fn table_hash_equals_bit_serial_toeplitz_on_every_input() {
+    for key in [RssKey::MICROSOFT_DEFAULT, RssKey::SYMMETRIC] {
+        let rss = Rss::new(key.clone(), 8);
+        for pos in 0..12 {
+            for b in 0..=255u8 {
+                let mut input = [0u8; 12];
+                input[pos] = b;
+                let flow = flow_of(input);
+                assert_eq!(flow.rss_input(), input);
+                assert_eq!(
+                    rss.hash(&flow),
+                    toeplitz_hash(&key, &input),
+                    "key {:02x?}, byte {b:#04x} at {pos}",
+                    &key.bytes()[..2]
+                );
+            }
+        }
     }
 }
 

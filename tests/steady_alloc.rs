@@ -16,6 +16,9 @@
 //!   RPC.
 //! - `DriverSim::run` recycles its TX batch buffers, so only a new
 //!   peak of batches in flight, or of a batch's length, allocates.
+//! - The flow generator's state is sized once: `Rss::new` allocates
+//!   nothing, `FlowTable::with_capacity` once, and picks, completions
+//!   and replacement inserts nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +26,7 @@ use std::cell::Cell;
 use pcie_bench_repro::bench::{BenchParams, BenchSetup, IommuMode};
 use pcie_bench_repro::device::DmaPath;
 use pcie_bench_repro::drivers::{DriverConfig, DriverSim, OfferedLoad, PATTERNS};
-use pcie_bench_repro::flows::{QueueSim, QueuedPacket, ServiceModel};
+use pcie_bench_repro::flows::{FlowTable, QueueSim, QueuedPacket, Rss, RssKey, ServiceModel};
 use pcie_bench_repro::model::NicModelParams;
 use pcie_bench_repro::nic::NicSim;
 use pcie_bench_repro::rpc::engine::build_platform;
@@ -267,4 +270,31 @@ fn driver_sim_allocations_do_not_grow_with_packets() {
             );
         }
     }
+}
+
+#[test]
+fn flow_generator_state_is_sized_once() {
+    let (allocs, rss) = allocations(|| Rss::new(RssKey::MICROSOFT_DEFAULT, 8));
+    assert_eq!(allocs, 0, "Rss::new keeps its tables inline");
+    assert_eq!(rss.queues(), 8);
+
+    const FLOWS: usize = 100_000;
+    let (allocs, mut table) = allocations(|| FlowTable::with_capacity(FLOWS));
+    assert_eq!(allocs, 1, "FlowTable::with_capacity reserves one slab");
+    let mut rng = SplitMix64::new(20);
+    let packets = |rng: &mut SplitMix64| 1 + (rng.next_u64() % 64) as u32;
+    let (allocs, ()) = allocations(|| {
+        for q in 0..FLOWS {
+            table.insert((q % 8) as u16, packets(&mut rng)).unwrap();
+        }
+        for _ in 0..1_000_000 {
+            let pos = table.pick(&mut rng).expect("replacement keeps flows live");
+            if table.note_packet(pos) {
+                table.insert((pos % 8) as u16, packets(&mut rng)).unwrap();
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "ramp and 1 000 000 pick/complete/replace rounds");
+    assert_eq!(table.stats().packets, 1_000_000);
+    assert!(table.stats().completions > 10_000);
 }
