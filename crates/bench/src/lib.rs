@@ -81,6 +81,23 @@ pub fn n(base: usize) -> usize {
     ((base as f64 * scale()) as usize).max(16)
 }
 
+/// Scaled count [`n`]`(base)` of a binary whose asserted checks mean
+/// something only from `min` `units` up; `why` says where `min` comes
+/// from. Below it, exits 2 naming `PCIE_BENCH_N` and the smallest
+/// factor that reaches `min`.
+pub fn n_at_least(base: usize, min: usize, units: &str, why: impl Display) -> usize {
+    let got = n(base);
+    if got < min {
+        let factor = (min as f64 / base as f64 * 1e4).ceil() / 1e4;
+        exit_usage(format_args!(
+            "PCIE_BENCH_N={} gives {got} {units}, fewer than the {min} the asserted \
+             checks need ({why}): set PCIE_BENCH_N to at least {factor}",
+            scale()
+        ));
+    }
+    got
+}
+
 /// The standard transfer-size grid of Figure 4 (64 B – 2048 B with ±1 B
 /// probes).
 pub fn fig4_sizes() -> Vec<u32> {

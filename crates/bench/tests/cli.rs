@@ -1,7 +1,9 @@
 //! `pciebench_cli`, the `ext_rpc` and `ext_drivers` selectors and the
 //! binaries' environment knobs reject bad input with exit code 2 and a
 //! message, never with a panic (exit code 101) or by running with a
-//! default instead.
+//! default instead. A `PCIE_BENCH_N` that scales `ext_rpc` or
+//! `ext_flows` below the smallest run their checks need is bad input
+//! too.
 
 use std::process::{Command, Output};
 
@@ -90,10 +92,15 @@ fn bad_knobs_exit_2_naming_the_variable() {
         (rpc, &["--quick"], ("PCIE_BENCH_N", "0")),
         (rpc, &["--quick"], ("PCIE_BENCH_N", "-1")),
         (rpc, &["--quick"], ("PCIE_BENCH_N", "1e30")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "0.001")),
+        (rpc, &["--quick"], ("PCIE_BENCH_N", "0.1")),
+        (rpc, &[], ("PCIE_BENCH_N", "0.01")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "abc")),
+        (flows, &["--quick"], ("PCIE_BENCH_N", "0.001")),
+        (flows, &["--quick"], ("PCIE_BENCH_N", "0.05")),
         (suite, &[], ("PCIE_BENCH_SUITE", "bogus")),
         (suite, &[], ("PCIE_BENCH_SYSTEM", "bogus")),
         (cli, &["LAT_RD"], ("PCIE_BENCH_BER", "abc")),
@@ -155,4 +162,41 @@ fn knob_errors_name_their_source() {
         stderr.contains("--ber") && !stderr.contains("PCIE_BENCH_BER"),
         "--ber 2 names the flag: {stderr}"
     );
+}
+
+/// A run too small for `ext_rpc`'s or `ext_flows`' asserted checks
+/// names the smallest `PCIE_BENCH_N` that is not, and that factor
+/// runs them and passes.
+#[test]
+fn too_small_a_run_names_the_smallest_factor() {
+    for bin in [
+        env!("CARGO_BIN_EXE_ext_rpc"),
+        env!("CARGO_BIN_EXE_ext_flows"),
+    ] {
+        let run = |n: &str| {
+            let mut cmd = Command::new(bin);
+            for k in KNOBS {
+                cmd.env_remove(k);
+            }
+            cmd.arg("--quick")
+                .env("PCIE_BENCH_N", n)
+                .output()
+                .expect("spawn")
+        };
+        let out = run("0.001");
+        assert_exits_2(&format!("PCIE_BENCH_N=0.001 {bin}"), &out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let factor = stderr
+            .trim()
+            .rsplit_once("PCIE_BENCH_N to at least ")
+            .map(|(_, f)| f.to_string())
+            .unwrap_or_else(|| panic!("{bin}: names no factor: {stderr}"));
+        let out = run(&factor);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "PCIE_BENCH_N={factor} {bin}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -381,32 +381,24 @@ impl LlcCache {
     /// the last `ways` touches mapping to it, stamped as if touched
     /// individually — can be written without scanning per touch.
     /// Non-empty sets (possible hits, LRU-ordered victims) fall back
-    /// to the exact per-touch path.
+    /// to the exact per-touch path. Only the sets the range maps to
+    /// are visited, `min(lines, n_sets)` of them, so a short range
+    /// costs what its lines do.
     pub fn warm_lines(&mut self, start_line: u64, end_line: u64, dirty: bool) {
         let total = end_line - start_line + 1;
         let stamp0 = self.stamp;
-        // Small warms touch few sets; the per-touch path is cheap and
-        // avoids visiting every set in the cache.
-        if total < 4 * self.n_sets as u64 {
-            for line in start_line..=end_line {
-                let stamp = stamp0 + (line - start_line) + 1;
-                self.touch_with_stamp(line * LINE, dirty, stamp);
-            }
-            self.stamp = stamp0 + total;
-            return;
-        }
         let n_sets = self.n_sets as u64;
         let ways = self.ways as u64;
         let epoch = self.epoch;
-        for set in 0..n_sets {
-            // Lines ≡ set (mod n_sets) within the warm range.
-            let first = start_line + (set + n_sets - start_line % n_sets) % n_sets;
-            if first > end_line {
-                continue;
-            }
+        // Only the sets the range touches: the first `min(total,
+        // n_sets)` lines each map to a different one.
+        let mut set = self.set_of(start_line);
+        for first in start_line..start_line + total.min(n_sets) {
+            // Lines ≡ first (mod n_sets) within the warm range.
             let m = (end_line - first) / n_sets + 1;
-            let lo = (set * ways) as usize;
+            let lo = set * self.ways;
             let hi = lo + self.ways;
+            set = if set + 1 == self.n_sets { 0 } else { set + 1 };
             if (lo..hi).any(|i| self.keys[i] & PRESENT != 0 && self.lru[i] >= epoch) {
                 // Occupied set: possible hits / LRU victims — replay
                 // the touches exactly.
@@ -666,17 +658,22 @@ mod tests {
         // per-line host_touch calls: same residency, same future
         // replacement decisions. Checked over empty and pre-occupied
         // caches, ranges below and above capacity, odd offsets.
-        for (start, count) in [
-            (0u64, 4096u64), // 4x capacity, aligned
-            (13, 2048),      // above the 4*n_sets direct-fill gate
-            (7, 100),        // small: per-touch path
-            (64, 512),       // exactly capacity
+        for (start, count, occupied) in [
+            (0u64, 4096u64, true), // 4x capacity, aligned
+            (13, 2048, true),      // 2x capacity, odd offset
+            (7, 100, true),        // under capacity
+            (64, 512, true),       // exactly capacity
+            (50, 40, true),        // fewer lines than sets, wrapping past set 63
+            (50, 40, false),
+            (63, 2, true), // the last set and the first
+            (63, 2, false),
         ] {
             let mut fast = small();
             let mut slow = small();
             // Pre-occupy some sets so both paths exercise the
             // occupied-set fallback.
-            for i in 0..32u64 {
+            let pre = if occupied { 32u64 } else { 0 };
+            for i in 0..pre {
                 fast.dma_write(i * 64 * 3);
                 slow.dma_write(i * 64 * 3);
             }

@@ -8,8 +8,9 @@
 //! every `DmaResult` (`issued`, `done`, `absorbed` in ps), both
 //! directions' wire counters, the host's byte ledger and the
 //! telemetry snapshot JSON into an FNV-1a digest. A change to the
-//! datapath must leave every digest unchanged. One more pin drives the
-//! LLC model on its own, on a DDIO host and on a host without DDIO.
+//! datapath must leave every digest unchanged. Two more pins drive the
+//! LLC model on its own, on a DDIO host and on a host without DDIO,
+//! and the IOMMU's IO-TLB on its own, at 4 KiB and 2 MiB pages.
 
 mod common;
 
@@ -20,6 +21,7 @@ use pcie_bench_repro::device::{DeviceParams, DmaPath, MultiPlatform, Platform};
 use pcie_bench_repro::fault::{DirFaults, FaultPlan};
 use pcie_bench_repro::host::buffer::BufferAllocator;
 use pcie_bench_repro::host::cache::{CacheStorage, LlcCache, LINE};
+use pcie_bench_repro::host::iommu::{Iommu, IommuStats};
 use pcie_bench_repro::host::presets::{HostPreset, NumaPlacement};
 use pcie_bench_repro::host::{HostBuffer, HostSystem, MemStats};
 use pcie_bench_repro::link::{Direction, LinkTiming, WireCounters};
@@ -320,4 +322,61 @@ fn llc_model_is_pinned() {
     ]
     .map(|(name, p)| (name, llc_stream(p.llc_bytes, p.llc_ways, p.ddio_ways)));
     assert_eq!(got, pinned, "LLC model outputs moved");
+}
+
+fn iommu_stats(h: &mut Fnv, s: IommuStats) {
+    h.word(s.tlb_hits).word(s.tlb_misses).word(s.tlb_evictions);
+}
+
+/// A seeded stream of translations, domain flushes and resets on one
+/// IOMMU: four domains, 70 % of touches from a hot set of 1.5 × the
+/// IO-TLB's capacity in `(domain, page)` keys, a fifth of lengths
+/// spanning pages. Folds every `Translation` and the statistics after
+/// each call.
+fn iotlb_stream(mut m: Iommu) -> u64 {
+    let mut rng = SplitMix64::new(0x10_7eb);
+    let mut h = Fnv::new();
+    let page_size = m.page_size;
+    let hot = (3 * m.tlb_entries() as u64).div_ceil(2);
+    let mut now = SimTime::ZERO;
+    for _ in 0..50_000 {
+        match rng.range(0, 1000) {
+            0..5 => m.flush_domain(rng.range(0, 4) as u32),
+            5 => {
+                iommu_stats(&mut h, m.stats());
+                m.reset();
+            }
+            _ => {
+                let (domain, page) = if rng.chance(0.7) {
+                    let k = rng.range(0, hot);
+                    ((k % 4) as u32, k / 4)
+                } else {
+                    (rng.range(0, 4) as u32, rng.range(0, 1 << 20))
+                };
+                let addr = page * page_size + rng.range(0, page_size);
+                let max_len = if rng.chance(0.2) { 2 * page_size } else { 256 };
+                let t = m.translate_in(now, domain, addr, rng.range(0, max_len) as u32);
+                h.word(t.ready_at.as_ps()).word(u64::from(t.tlb_hit));
+                now += SimTime::from_ns(rng.range(0, 400));
+            }
+        }
+        iommu_stats(&mut h, m.stats());
+    }
+    h.0
+}
+
+/// The IO-TLB on its own: hits, walks, LRU evictions, walker queueing,
+/// domain flushes and resets, with 4 KiB pages and with super-pages.
+#[test]
+fn iotlb_is_pinned() {
+    let pinned: [(&str, u64); 2] = [
+        ("4k", 0x12246307b05f8a9d),
+        ("superpages", 0xbffc1ee90b83aae1),
+    ];
+    let got = [
+        ("4k", Iommu::intel_4k()),
+        ("superpages", Iommu::intel_superpages()),
+    ]
+    .map(|(name, m)| (name, iotlb_stream(m)));
+    assert_eq!(got, pinned, "IO-TLB outcomes moved");
 }

@@ -19,6 +19,8 @@
 //! - The flow generator's state is sized once: `Rss::new` allocates
 //!   nothing, `FlowTable::with_capacity` once, and picks, completions
 //!   and replacement inserts nothing.
+//! - An `Iommu` allocates once when it is built, and its IO-TLB
+//!   nothing per translation, eviction or flush.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +29,7 @@ use pcie_bench_repro::bench::{BenchParams, BenchSetup, IommuMode};
 use pcie_bench_repro::device::DmaPath;
 use pcie_bench_repro::drivers::{DriverConfig, DriverSim, OfferedLoad, PATTERNS};
 use pcie_bench_repro::flows::{FlowTable, QueueSim, QueuedPacket, Rss, RssKey, ServiceModel};
+use pcie_bench_repro::host::Iommu;
 use pcie_bench_repro::model::NicModelParams;
 use pcie_bench_repro::nic::NicSim;
 use pcie_bench_repro::rpc::engine::build_platform;
@@ -297,4 +300,26 @@ fn flow_generator_state_is_sized_once() {
     assert_eq!(allocs, 0, "ramp and 1 000 000 pick/complete/replace rounds");
     assert_eq!(table.stats().packets, 1_000_000);
     assert!(table.stats().completions > 10_000);
+}
+
+#[test]
+fn iommu_is_sized_once() {
+    let (allocs, mut m) = allocations(Iommu::intel_4k);
+    assert_eq!(allocs, 1, "Iommu::intel_4k allocates its IO-TLB once");
+    let mut rng = SplitMix64::new(21);
+    let (allocs, ()) = allocations(|| {
+        let mut now = SimTime::ZERO;
+        for i in 0..100_000u32 {
+            // 128 pages in two domains: twice the IO-TLB's capacity.
+            let domain = i % 2;
+            let addr = rng.next_u64() % (64 * 4096);
+            now = m.translate_in(now, domain, addr, 256).ready_at;
+            if i % 10_000 == 0 {
+                m.flush_domain(domain);
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "100 000 translations after build");
+    let s = m.stats();
+    assert!(s.tlb_hits > 0 && s.tlb_evictions > 0, "{s:?}");
 }
