@@ -23,11 +23,11 @@
 //!
 //! Usage: `cargo run --release --bin ext_flows [-- --quick]`
 //! Env: `PCIE_BENCH_FLOWS` overrides the concurrent-flow target
-//! (default 1,250,000; quick 50,000; at least 1); `PCIE_BENCH_QUEUES`
-//! overrides the RSS queue count (default 8; quick 4; 1–256);
-//! `PCIE_BENCH_N` scales packet counts, down to four ring-fulls per
-//! queue; `PCIE_BENCH_THREADS` sizes the worker pool. An unparsable or
-//! out-of-range value exits 2.
+//! (default 1,250,000, at least 1,000,000; quick 50,000, at least 1);
+//! `PCIE_BENCH_QUEUES` overrides the RSS queue count (default 8, 4–256;
+//! quick 4, 1–256); `PCIE_BENCH_N` scales packet counts, down to four
+//! ring-fulls per queue; `PCIE_BENCH_THREADS` sizes the worker pool. An
+//! unparsable or out-of-range value exits 2 before the sweep starts.
 
 use pcie_bench_harness::{env_or, exit_usage, header, n_at_least};
 use pcie_flows::{
@@ -38,6 +38,12 @@ use pcie_nic::traffic::Workload;
 use pcie_par::Pool;
 use pcie_sim::SimTime;
 use pciebench::BenchSetup;
+
+/// Full mode is the million-flow, multi-queue headline configuration:
+/// it needs at least this many concurrent flows and RSS queues, and a
+/// smaller run takes `--quick`.
+const FULL_MIN_FLOWS: u32 = 1_000_000;
+const FULL_MIN_QUEUES: u32 = 4;
 
 /// Offered load points as fractions of aggregate service capacity.
 const SWEEP: &[f64] = &[0.4, 0.8, 1.2, 1.6, 2.0];
@@ -94,6 +100,18 @@ fn main() {
     let pool = Pool::from_env();
     if let Err(e) = config(queues).validate() {
         exit_usage(format_args!("invalid PCIE_BENCH_QUEUES={queues}: {e}"));
+    }
+    if !quick && queues < FULL_MIN_QUEUES {
+        exit_usage(format_args!(
+            "PCIE_BENCH_QUEUES={queues}: full mode fans out to at least \
+             {FULL_MIN_QUEUES} RSS queues (fewer need --quick)"
+        ));
+    }
+    if !quick && flows < FULL_MIN_FLOWS {
+        exit_usage(format_args!(
+            "PCIE_BENCH_FLOWS={flows}: full mode runs at least {FULL_MIN_FLOWS} \
+             concurrent flows (fewer need --quick)"
+        ));
     }
     // Past saturation a queue drops nothing until its ring holds
     // `ring` packets more than it has served: over n packets a queue
@@ -227,11 +245,6 @@ fn main() {
         rss.get("packets_max_queue").unwrap(),
         rss.get("imbalance_permille").unwrap(),
     );
-    if !quick {
-        assert!(flows >= 1_000_000, "full mode must run ≥ 10^6 flows");
-        assert!(queues >= 4, "full mode must fan out ≥ 4 RSS queues");
-    }
-
     // Pool-width pin: the mid-load point, sequential vs 4 workers.
     let mid = sweep[sweep.len() / 2] * capacity_mpps * 1e6;
     let pin_flows = flows.min(50_000);

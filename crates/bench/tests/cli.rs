@@ -101,6 +101,10 @@ fn bad_knobs_exit_2_naming_the_variable() {
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "abc")),
         (flows, &["--quick"], ("PCIE_BENCH_N", "0.001")),
         (flows, &["--quick"], ("PCIE_BENCH_N", "0.05")),
+        (flows, &[], ("PCIE_BENCH_QUEUES", "1")),
+        (flows, &[], ("PCIE_BENCH_QUEUES", "2")),
+        (flows, &[], ("PCIE_BENCH_QUEUES", "3")),
+        (flows, &[], ("PCIE_BENCH_FLOWS", "999999")),
         (suite, &[], ("PCIE_BENCH_SUITE", "bogus")),
         (suite, &[], ("PCIE_BENCH_SYSTEM", "bogus")),
         (cli, &["LAT_RD"], ("PCIE_BENCH_BER", "abc")),

@@ -9,7 +9,7 @@
 //! per-queue packet schedules, so the same profile replays
 //! bit-identically at any pool width.
 
-use pcie_nic::traffic::Workload;
+use pcie_nic::traffic::{BoundedPareto, Workload};
 use pcie_sim::{SimTime, SplitMix64};
 
 /// How packet arrivals are spaced in (virtual) time. All processes
@@ -140,8 +140,10 @@ pub enum FlowLength {
     },
     /// Heavy-tailed bounded Pareto on `[min, max]` with tail exponent
     /// `alpha` — the empirical shape of Internet flow sizes (mice and
-    /// elephants). Delegates to the same inverse-CDF sampler as
-    /// `pcie_nic::Workload::Pareto`, so one RNG draw per flow.
+    /// elephants). Draws through `pcie_nic::traffic::BoundedPareto`,
+    /// the sampler behind `Workload::Pareto`: one RNG draw per flow,
+    /// and one `powf` per flow from the sampler
+    /// [`FlowEngine::new`](crate::FlowEngine::new) builds once.
     BoundedPareto {
         /// Shortest flow (scale parameter), > 0.
         min: u32,
@@ -155,13 +157,18 @@ pub enum FlowLength {
 impl FlowLength {
     /// Draws the next flow's packet count.
     pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        self.sampler().sample(rng)
+    }
+
+    /// The distribution with its constants computed once, for a caller
+    /// that draws many lengths: each draw is bit-identical to
+    /// [`FlowLength::sample`]'s.
+    pub(crate) fn sampler(&self) -> LengthSampler {
         match *self {
-            FlowLength::Fixed(n) => n,
-            FlowLength::Uniform { min, max } => {
-                rng.range(u64::from(min), u64::from(max) + 1) as u32
-            }
+            FlowLength::Fixed(n) => LengthSampler::Fixed(n),
+            FlowLength::Uniform { min, max } => LengthSampler::Uniform { min, max },
             FlowLength::BoundedPareto { min, max, alpha } => {
-                Workload::Pareto { min, max, alpha }.next_size(rng)
+                LengthSampler::Pareto(BoundedPareto::new(min, max, alpha))
             }
         }
     }
@@ -194,6 +201,29 @@ impl FlowLength {
             FlowLength::BoundedPareto { min, max, alpha } => {
                 Workload::Pareto { min, max, alpha }.validate()
             }
+        }
+    }
+}
+
+/// A [`FlowLength`] ready to draw from, built by
+/// [`FlowLength::sampler`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LengthSampler {
+    Fixed(u32),
+    Uniform { min: u32, max: u32 },
+    Pareto(BoundedPareto),
+}
+
+impl LengthSampler {
+    /// Draws the next flow's packet count.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        match *self {
+            LengthSampler::Fixed(n) => n,
+            LengthSampler::Uniform { min, max } => {
+                rng.range(u64::from(min), u64::from(max) + 1) as u32
+            }
+            LengthSampler::Pareto(p) => p.sample(rng),
         }
     }
 }

@@ -33,6 +33,56 @@ pub enum Workload {
     },
 }
 
+/// Inverse-CDF sampler of the bounded Pareto on `[min, max]` with
+/// tail exponent `alpha`, the one home of its formula: with
+/// U ~ [0,1), x = L / (1 − U·(1 − (L/H)^α))^(1/α), truncated to an
+/// integer and clamped to `[min, max]`.
+///
+/// The constants `1 − (L/H)^α` and `1/α` are computed once, here, so a
+/// draw costs one RNG draw and one `powf`; a caller drawing many
+/// values from one distribution builds the sampler once. Each draw is
+/// bit-identical to evaluating the whole formula afresh.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedPareto {
+    min: u32,
+    max: u32,
+    /// `min` as a float: the scale L.
+    l: f64,
+    /// `1 − (L/H)^α`.
+    span: f64,
+    /// `1/α`.
+    inv_alpha: f64,
+}
+
+impl BoundedPareto {
+    /// The sampler for `Workload::Pareto { min, max, alpha }`. The
+    /// parameters are those [`Workload::validate`] accepts; a `min`
+    /// above `max` panics on the first draw.
+    pub fn new(min: u32, max: u32, alpha: f64) -> BoundedPareto {
+        let (l, h) = (f64::from(min), f64::from(max));
+        BoundedPareto {
+            min,
+            max,
+            l,
+            span: 1.0 - (l / h).powf(alpha),
+            inv_alpha: 1.0 / alpha,
+        }
+    }
+
+    /// Draws one value, with exactly one RNG draw, so streams stay
+    /// stable.
+    #[inline]
+    pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        (self.inverse_cdf(rng.next_f64()) as u32).clamp(self.min, self.max)
+    }
+
+    /// The continuous quantile at `u` ∈ [0, 1), before truncation.
+    #[inline]
+    fn inverse_cdf(&self, u: f64) -> f64 {
+        self.l / (1.0 - u * self.span).powf(self.inv_alpha)
+    }
+}
+
 impl Workload {
     /// Draws the next packet size.
     pub fn next_size(&self, rng: &mut SplitMix64) -> u32 {
@@ -44,15 +94,7 @@ impl Workload {
                 _ => 1518,
             },
             Workload::Uniform { min, max } => rng.range(min as u64, max as u64 + 1) as u32,
-            Workload::Pareto { min, max, alpha } => {
-                // Inverse-CDF sampling of the bounded Pareto: with
-                // U ~ [0,1), x = L / (1 - U·(1 - (L/H)^α))^(1/α).
-                // One RNG draw per sample, so streams stay stable.
-                let (l, h) = (min as f64, max as f64);
-                let u = rng.next_f64();
-                let x = l / (1.0 - u * (1.0 - (l / h).powf(alpha))).powf(1.0 / alpha);
-                (x as u32).clamp(min, max)
-            }
+            Workload::Pareto { min, max, alpha } => BoundedPareto::new(min, max, alpha).sample(rng),
         }
     }
 
@@ -156,6 +198,60 @@ mod tests {
             b.next_u64();
         }
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// The bounded-Pareto formula evaluated whole on every draw: the
+    /// oracle [`BoundedPareto`] must match bit for bit.
+    fn per_draw(min: u32, max: u32, alpha: f64, u: f64) -> f64 {
+        let (l, h) = (min as f64, max as f64);
+        l / (1.0 - u * (1.0 - (l / h).powf(alpha))).powf(1.0 / alpha)
+    }
+
+    #[test]
+    fn built_once_sampler_matches_the_per_draw_formula() {
+        const DRAWS: usize = 20_000;
+        for (min, max, alpha) in [
+            (1, 10_000, 1.2),
+            (1, 1_000, 1.2),
+            (64, 1_500, 1.2),
+            (1, 10_000, 0.5),
+            (64, 1_500, 0.5),
+            (1, 10_000, 2.5),
+            (64, 1_500, 2.5),
+            (700, 700, 1.2),
+        ] {
+            let sampler = BoundedPareto::new(min, max, alpha);
+            let workload = Workload::Pareto { min, max, alpha };
+            let what = format!("[{min}, {max}] alpha {alpha}");
+            for u in [0.0, 0.5, 1.0 - f64::EPSILON / 2.0] {
+                assert_eq!(
+                    sampler.inverse_cdf(u).to_bits(),
+                    per_draw(min, max, alpha, u).to_bits(),
+                    "{what}: u = {u}"
+                );
+            }
+            for seed in [1, 7, 13] {
+                let mut built = SplitMix64::new(seed);
+                let mut via_workload = SplitMix64::new(seed);
+                let mut oracle = SplitMix64::new(seed);
+                for i in 0..DRAWS {
+                    let u = oracle.next_f64();
+                    let x = per_draw(min, max, alpha, u);
+                    assert_eq!(sampler.inverse_cdf(u).to_bits(), x.to_bits(), "{what}");
+                    let want = (x as u32).clamp(min, max);
+                    assert_eq!(sampler.sample(&mut built), want, "{what}: draw {i}");
+                    assert_eq!(workload.next_size(&mut via_workload), want, "{what}");
+                }
+                // Exactly one RNG draw per sample.
+                let mut raw = SplitMix64::new(seed);
+                for _ in 0..DRAWS {
+                    raw.next_u64();
+                }
+                let next = raw.next_u64();
+                assert_eq!(built.next_u64(), next, "{what}: sampler draws");
+                assert_eq!(via_workload.next_u64(), next, "{what}: workload draws");
+            }
+        }
     }
 
     #[test]

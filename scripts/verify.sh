@@ -48,12 +48,15 @@ fi
 # repro_report checks all 13 paper claims and exits 1 on a failed one;
 # the figure, table and extension binaries assert their paper-shape
 # checks as they run. Each must exit 0; the suite runs at pool widths
-# 1, 2 and the default. table1_systems checks nothing, so it is left
-# out. $bin is split on purpose: every word is a plain token.
+# 1, 2 and the default. ext_flows also runs in full mode, so its
+# million-flow checks (fairness, the knee, monotone drops, threads:1 ≡
+# threads:4) hold at the generator's own scale. table1_systems checks
+# nothing, so it is left out. $bin is split on purpose: every word is
+# a plain token.
 for bin in repro_report fig1_nic_models fig2_loopback_latency fig4_baseline_bw \
     fig5_latency_size fig6_latency_cdf fig7_cache_ddio fig8_numa fig9_iommu table2_findings \
     ext_multidevice ext_linkgen ext_offsets ext_ddio_ways ext_topology ext_p2p ext_faults \
-    "ext_drivers --quick" "ext_flows --quick" "ext_rpc --quick" suite; do
+    "ext_drivers --quick" "ext_flows --quick" ext_flows "ext_rpc --quick" suite; do
     echo "==> $bin (its asserted checks must hold)"
     ./target/release/$bin >/dev/null
 done

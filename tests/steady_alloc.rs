@@ -16,9 +16,10 @@
 //!   RPC.
 //! - `DriverSim::run` recycles its TX batch buffers, so only a new
 //!   peak of batches in flight, or of a batch's length, allocates.
-//! - The flow generator's state is sized once: `Rss::new` allocates
-//!   nothing, `FlowTable::with_capacity` once, and picks, completions
-//!   and replacement inserts nothing.
+//! - The flow generator's state is sized once: `Rss::new` and
+//!   `FlowEngine::new` (which keeps its `Rss` and its flow-length
+//!   sampler inline) allocate nothing, `FlowTable::with_capacity` once,
+//!   and picks, completions and replacement inserts nothing.
 //! - An `Iommu` allocates once when it is built, and its IO-TLB
 //!   nothing per translation, eviction or flush.
 
@@ -28,7 +29,10 @@ use std::cell::Cell;
 use pcie_bench_repro::bench::{BenchParams, BenchSetup, IommuMode};
 use pcie_bench_repro::device::DmaPath;
 use pcie_bench_repro::drivers::{DriverConfig, DriverSim, OfferedLoad, PATTERNS};
-use pcie_bench_repro::flows::{FlowTable, QueueSim, QueuedPacket, Rss, RssKey, ServiceModel};
+use pcie_bench_repro::flows::{
+    FlowEngine, FlowEngineConfig, FlowTable, QueueSim, QueuedPacket, Rss, RssKey, ServiceModel,
+    TrafficProfile,
+};
 use pcie_bench_repro::host::Iommu;
 use pcie_bench_repro::model::NicModelParams;
 use pcie_bench_repro::nic::NicSim;
@@ -280,6 +284,16 @@ fn flow_generator_state_is_sized_once() {
     let (allocs, rss) = allocations(|| Rss::new(RssKey::MICROSOFT_DEFAULT, 8));
     assert_eq!(allocs, 0, "Rss::new keeps its tables inline");
     assert_eq!(rss.queues(), 8);
+    let (cfg, profile) = (
+        FlowEngineConfig::default(),
+        TrafficProfile::million_flow(8e6, 1_000),
+    );
+    let (allocs, engine) = allocations(|| FlowEngine::new(cfg, profile));
+    assert_eq!(
+        allocs, 0,
+        "FlowEngine::new keeps its Rss and flow-length sampler inline"
+    );
+    assert_eq!(engine.profile().flows, 1_250_000);
 
     const FLOWS: usize = 100_000;
     let (allocs, mut table) = allocations(|| FlowTable::with_capacity(FLOWS));
