@@ -149,7 +149,7 @@ fn measure(
             .push(platform.quantize(r.latency()).as_ns_f64());
         now = r.done + JOURNAL_GAP;
     }
-    // The platform is done simulating: return its LLC line buffers to
+    // The platform is done simulating: return its LLC set records to
     // the pool (stats survive for telemetry snapshots).
     platform.host.recycle_caches(&mut scratch.cache_pool);
     (platform, now)

@@ -4,16 +4,16 @@
 //! (that cost is the experiment), but two per-test costs are pure
 //! waste when repeated thousands of times: the *driver-side* work
 //! (generating the access-order stream and allocating the sample
-//! journal) and the *host-side* LLC line arrays — a 15 MiB cache is
-//! ~250k lines allocated and zeroed per platform. A [`BenchScratch`]
-//! owns the driver buffers, a small `OrderCache` of memoised access
-//! sequences, and a [`CacheStorage`] pool of retired line arrays;
-//! each pool worker keeps one and threads it through every test it
-//! executes, so after the largest test in a worker's share has run,
-//! that worker allocates nothing more. Reuse recycles only capacity
-//! and *deterministic* derived data (cache buffers come back
-//! epoch-invalidated; memoised offset streams are pure functions of
-//! their key), so results stay bit-identical to the allocate-fresh
+//! journal) and the *host-side* LLC set records — a 15 MiB cache is
+//! 12 288 records, 1.5 MiB, allocated and written per platform. A
+//! [`BenchScratch`] owns the driver buffers, a small `OrderCache` of
+//! memoised access sequences, and a [`CacheStorage`] pool of retired
+//! record buffers; each pool worker keeps one and threads it through
+//! every test it executes, so after the largest test in a worker's
+//! share has run, that worker allocates nothing more. Reuse recycles
+//! only capacity and *deterministic* derived data (cache buffers come
+//! back epoch-invalidated; memoised offset streams are pure functions
+//! of their key), so results stay bit-identical to the allocate-fresh
 //! path.
 //!
 //! [`Platform`]: pcie_device::Platform
@@ -130,7 +130,7 @@ pub struct BenchScratch {
     pub(crate) orders: OrderCache,
     /// Per-transaction latency journal, in issue order.
     pub(crate) samples: Vec<f64>,
-    /// Retired LLC line buffers, recycled into the next platform.
+    /// Retired LLC record buffers, recycled into the next platform.
     pub(crate) cache_pool: CacheStorage,
 }
 

@@ -198,10 +198,10 @@ impl BenchSetup {
         self.build_with(params, &mut CacheStorage::new())
     }
 
-    /// [`BenchSetup::build`] drawing LLC line buffers from `pool` —
+    /// [`BenchSetup::build`] drawing LLC set records from `pool` —
     /// the suite hot path builds one platform per grid cell, and
-    /// recycling the multi-megabyte cache arrays (instead of
-    /// allocating and zeroing fresh ones) is the dominant saving.
+    /// recycling the 1.5 MiB record buffers (instead of allocating and
+    /// writing fresh ones) is the dominant saving.
     /// Behaviour is bit-identical to [`BenchSetup::build`].
     pub fn build_with(
         &self,

@@ -20,11 +20,12 @@
 //! unobservable: `threads:1` and `threads:N` runs are bit-identical,
 //! pinned by [`FlowRunReport::fingerprint`].
 
-use crate::profile::{ArrivalGen, LengthSampler, TrafficProfile};
+use crate::profile::{ArrivalGen, TrafficProfile};
 use crate::queue::{QueueReport, QueueSim, QueuedPacket, ServiceModel};
 use crate::rss::{FlowKey, Rss, RssKey};
 use crate::table::{FlowTable, FlowTableStats};
 use pcie_device::Platform;
+use pcie_nic::traffic::SizeSampler;
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
 use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot, StageStats};
@@ -332,9 +333,10 @@ pub struct FlowEngine {
     cfg: FlowEngineConfig,
     profile: TrafficProfile,
     rss: Rss,
-    /// The profile's flow-length distribution, its constants computed
-    /// once.
-    lengths: LengthSampler,
+    /// The profile's flow-length and packet-size distributions, their
+    /// constants computed once.
+    lengths: SizeSampler,
+    sizes: SizeSampler,
 }
 
 /// The steered schedule [`FlowEngine::generate`] builds, and the
@@ -360,11 +362,13 @@ impl FlowEngine {
         profile.validate().expect("invalid traffic profile");
         let rss = Rss::new(cfg.key.clone(), cfg.queues);
         let lengths = profile.flow_length.sampler();
+        let sizes = profile.sizes.sampler();
         FlowEngine {
             cfg,
             profile,
             rss,
             lengths,
+            sizes,
         }
     }
 
@@ -478,7 +482,7 @@ impl FlowEngine {
                 let at = arrivals.next_arrival();
                 window = at;
                 let pos = table.pick(&mut pick_rng).expect("table never empties");
-                let size = self.profile.sizes.next_size(&mut size_rng);
+                let size = self.sizes.sample(&mut size_rng);
                 let queue = table.queue(pos);
                 per_queue[usize::from(queue)].push(QueuedPacket { at, size });
                 if table.note_packet(pos) {

@@ -9,7 +9,7 @@
 //! per-queue packet schedules, so the same profile replays
 //! bit-identically at any pool width.
 
-use pcie_nic::traffic::{BoundedPareto, Workload};
+use pcie_nic::traffic::{BoundedPareto, SizeSampler, Workload};
 use pcie_sim::{SimTime, SplitMix64};
 
 /// How packet arrivals are spaced in (virtual) time. All processes
@@ -163,12 +163,12 @@ impl FlowLength {
     /// The distribution with its constants computed once, for a caller
     /// that draws many lengths: each draw is bit-identical to
     /// [`FlowLength::sample`]'s.
-    pub(crate) fn sampler(&self) -> LengthSampler {
+    pub(crate) fn sampler(&self) -> SizeSampler {
         match *self {
-            FlowLength::Fixed(n) => LengthSampler::Fixed(n),
-            FlowLength::Uniform { min, max } => LengthSampler::Uniform { min, max },
+            FlowLength::Fixed(n) => SizeSampler::Fixed(n),
+            FlowLength::Uniform { min, max } => SizeSampler::Uniform { min, max },
             FlowLength::BoundedPareto { min, max, alpha } => {
-                LengthSampler::Pareto(BoundedPareto::new(min, max, alpha))
+                SizeSampler::Pareto(BoundedPareto::new(min, max, alpha))
             }
         }
     }
@@ -201,29 +201,6 @@ impl FlowLength {
             FlowLength::BoundedPareto { min, max, alpha } => {
                 Workload::Pareto { min, max, alpha }.validate()
             }
-        }
-    }
-}
-
-/// A [`FlowLength`] ready to draw from, built by
-/// [`FlowLength::sampler`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LengthSampler {
-    Fixed(u32),
-    Uniform { min: u32, max: u32 },
-    Pareto(BoundedPareto),
-}
-
-impl LengthSampler {
-    /// Draws the next flow's packet count.
-    #[inline]
-    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u32 {
-        match *self {
-            LengthSampler::Fixed(n) => n,
-            LengthSampler::Uniform { min, max } => {
-                rng.range(u64::from(min), u64::from(max) + 1) as u32
-            }
-            LengthSampler::Pareto(p) => p.sample(rng),
         }
     }
 }

@@ -102,10 +102,10 @@ impl HostSystem {
         Self::new_reusing(preset, seed, &mut CacheStorage::new())
     }
 
-    /// [`HostSystem::new`] drawing LLC line buffers from `pool` instead
-    /// of allocating and zeroing fresh ones — the dominant cost of
-    /// building a host (a 15 MiB LLC is ~250k lines). Behaviour is
-    /// identical; retire the host with
+    /// [`HostSystem::new`] drawing LLC set records from `pool` instead
+    /// of allocating and writing fresh ones — the dominant cost of
+    /// building a host (a 15 MiB LLC is 12 288 records, 1.5 MiB).
+    /// Behaviour is identical; retire the host with
     /// [`HostSystem::recycle_caches`] to keep the buffers circulating.
     pub fn new_reusing(preset: HostPreset, seed: u64, pool: &mut CacheStorage) -> Self {
         let nodes = (0..preset.numa_nodes)
@@ -139,7 +139,7 @@ impl HostSystem {
         }
     }
 
-    /// Retires every node's LLC line buffer into `pool` (see
+    /// Retires every node's LLC record buffer into `pool` (see
     /// [`CacheStorage`]). The host must not be used afterwards.
     pub fn recycle_caches(&mut self, pool: &mut CacheStorage) {
         for n in &mut self.nodes {
@@ -246,8 +246,12 @@ impl HostSystem {
     }
 
     /// Warms the LLC of `buf`'s node from the CPU side over
-    /// `[offset, offset+len)` ("host warm", §4).
+    /// `[offset, offset+len)` ("host warm", §4). An empty range warms
+    /// nothing.
     pub fn host_warm(&mut self, buf: &HostBuffer, offset: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
         let cache = &mut self.nodes[buf.node()].cache;
         let start = buf.addr(offset) / LINE;
         let end = (buf.addr(offset) + len - 1) / LINE;
@@ -519,6 +523,23 @@ mod tests {
             (cold - warm - 70.0).abs() < 8.0,
             "cold {cold} vs warm {warm}"
         );
+    }
+
+    /// An empty warm touches no line: from a line-aligned start, whose
+    /// inclusive end line would fall before it, or from an unaligned
+    /// one, whose end line would be its own.
+    #[test]
+    fn zero_length_warm_is_a_no_op() {
+        for offset in [0, 64, 1, 65] {
+            let (mut h, buf) = host();
+            h.host_warm(&buf, offset, 0);
+            let at = buf.addr(offset);
+            let cache = &h.nodes[0].cache;
+            assert!(
+                !cache.contains(at) && !cache.contains(at - LINE),
+                "offset {offset}"
+            );
+        }
     }
 
     #[test]

@@ -83,19 +83,62 @@ impl BoundedPareto {
     }
 }
 
-impl Workload {
-    /// Draws the next packet size.
-    pub fn next_size(&self, rng: &mut SplitMix64) -> u32 {
+/// A [`Workload`] ready to draw from, its constants computed once
+/// ([`Workload::sampler`]): what a generator drawing a size per packet
+/// builds beside its `Rss`. Each draw is bit-identical to
+/// [`Workload::next_size`]'s and takes the same RNG draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SizeSampler {
+    /// [`Workload::Fixed`].
+    Fixed(u32),
+    /// [`Workload::Imix`].
+    Imix,
+    /// [`Workload::Uniform`] on `[min, max]`.
+    Uniform {
+        /// Smallest value.
+        min: u32,
+        /// Largest value.
+        max: u32,
+    },
+    /// [`Workload::Pareto`].
+    Pareto(BoundedPareto),
+}
+
+impl SizeSampler {
+    /// Draws the next value.
+    #[inline]
+    pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
         match *self {
-            Workload::Fixed(s) => s,
-            Workload::Imix => match rng.next_below(12) {
+            SizeSampler::Fixed(s) => s,
+            SizeSampler::Imix => match rng.next_below(12) {
                 0..=6 => 64,
                 7..=10 => 570,
                 _ => 1518,
             },
-            Workload::Uniform { min, max } => rng.range(min as u64, max as u64 + 1) as u32,
-            Workload::Pareto { min, max, alpha } => BoundedPareto::new(min, max, alpha).sample(rng),
+            SizeSampler::Uniform { min, max } => rng.range(min as u64, max as u64 + 1) as u32,
+            SizeSampler::Pareto(p) => p.sample(rng),
         }
+    }
+}
+
+impl Workload {
+    /// The distribution with its constants computed once, for a caller
+    /// that draws many sizes.
+    pub fn sampler(&self) -> SizeSampler {
+        match *self {
+            Workload::Fixed(s) => SizeSampler::Fixed(s),
+            Workload::Imix => SizeSampler::Imix,
+            Workload::Uniform { min, max } => SizeSampler::Uniform { min, max },
+            Workload::Pareto { min, max, alpha } => {
+                SizeSampler::Pareto(BoundedPareto::new(min, max, alpha))
+            }
+        }
+    }
+
+    /// Draws the next packet size, building the sampler for this one
+    /// draw.
+    pub fn next_size(&self, rng: &mut SplitMix64) -> u32 {
+        self.sampler().sample(rng)
     }
 
     /// Mean packet size of the workload (analytic, not empirical).
@@ -251,6 +294,50 @@ mod tests {
                 assert_eq!(built.next_u64(), next, "{what}: sampler draws");
                 assert_eq!(via_workload.next_u64(), next, "{what}: workload draws");
             }
+        }
+    }
+
+    /// Each size kind's formula evaluated afresh on every draw.
+    fn afresh(w: Workload, rng: &mut SplitMix64) -> u32 {
+        match w {
+            Workload::Fixed(s) => s,
+            Workload::Imix => match rng.next_below(12) {
+                0..=6 => 64,
+                7..=10 => 570,
+                _ => 1518,
+            },
+            Workload::Uniform { min, max } => rng.range(min as u64, max as u64 + 1) as u32,
+            Workload::Pareto { min, max, alpha } => {
+                (per_draw(min, max, alpha, rng.next_f64()) as u32).clamp(min, max)
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_matches_every_kind_drawn_afresh() {
+        for w in [
+            Workload::Fixed(256),
+            Workload::Imix,
+            Workload::Uniform { min: 64, max: 1518 },
+            Workload::Pareto {
+                min: 64,
+                max: 1518,
+                alpha: 1.2,
+            },
+        ] {
+            let sampler = w.sampler();
+            let mut built = SplitMix64::new(9);
+            let mut via_workload = SplitMix64::new(9);
+            let mut oracle = SplitMix64::new(9);
+            for i in 0..10_000 {
+                let want = afresh(w, &mut oracle);
+                assert_eq!(sampler.sample(&mut built), want, "{w:?}: draw {i}");
+                assert_eq!(w.next_size(&mut via_workload), want, "{w:?}: draw {i}");
+            }
+            // The same RNG draws.
+            let next = oracle.next_u64();
+            assert_eq!(built.next_u64(), next, "{w:?}: sampler draws");
+            assert_eq!(via_workload.next_u64(), next, "{w:?}: workload draws");
         }
     }
 

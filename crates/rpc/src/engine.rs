@@ -23,7 +23,7 @@ use pcie_flows::{ArrivalGen, ArrivalProcess, FlowKey, Rss, RssKey};
 use pcie_host::{HostPreset, HostSystem, Iommu};
 use pcie_link::LinkTiming;
 use pcie_model::config::LinkConfig;
-use pcie_nic::traffic::Workload;
+use pcie_nic::traffic::{SizeSampler, Workload};
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
 use pcie_telemetry::{CounterGroup, RpcStage, Snapshot, StageStats};
@@ -426,6 +426,10 @@ pub struct RpcEngine {
     cfg: RpcEngineConfig,
     profile: RpcProfile,
     rss: Rss,
+    /// The profile's request and response size distributions, their
+    /// constants computed once.
+    req: SizeSampler,
+    resp: SizeSampler,
 }
 
 impl RpcEngine {
@@ -437,7 +441,14 @@ impl RpcEngine {
         cfg.validate().expect("invalid engine config");
         profile.validate().expect("invalid RPC profile");
         let rss = Rss::new(cfg.key.clone(), cfg.queues);
-        RpcEngine { cfg, profile, rss }
+        let (req, resp) = (profile.req.sampler(), profile.resp.sampler());
+        RpcEngine {
+            cfg,
+            profile,
+            rss,
+            req,
+            resp,
+        }
     }
 
     /// The engine's config.
@@ -477,8 +488,8 @@ impl RpcEngine {
             let mut key_rng = SplitMix64::stream(seed, salt::RPC_KEY, i);
             let key = FlowKey::from_rng(&mut key_rng);
             let (_, queue) = self.rss.steer(&key);
-            let req = self.profile.req.next_size(&mut req_rng);
-            let resp = self.profile.resp.next_size(&mut resp_rng);
+            let req = self.req.sample(&mut req_rng);
+            let resp = self.resp.sample(&mut resp_rng);
             sched[usize::from(queue)].push(QueuedRpc { at, req, resp });
             rpcs_per_queue[usize::from(queue)] += 1;
         }

@@ -18,10 +18,13 @@
 //!   peak of batches in flight, or of a batch's length, allocates.
 //! - The flow generator's state is sized once: `Rss::new` and
 //!   `FlowEngine::new` (which keeps its `Rss` and its flow-length
-//!   sampler inline) allocate nothing, `FlowTable::with_capacity` once,
+//!   and packet-size samplers inline) allocate nothing, `FlowTable::with_capacity` once,
 //!   and picks, completions and replacement inserts nothing.
 //! - An `Iommu` allocates once when it is built, and its IO-TLB
 //!   nothing per translation, eviction or flush.
+//! - An `LlcCache` of the HSW hosts' geometry is one allocation of at
+//!   most 1.5 MiB, and nothing after: not per probe, warm or clear,
+//!   nor when a cache is rebuilt from a `CacheStorage` pool.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -33,7 +36,8 @@ use pcie_bench_repro::flows::{
     FlowEngine, FlowEngineConfig, FlowTable, QueueSim, QueuedPacket, Rss, RssKey, ServiceModel,
     TrafficProfile,
 };
-use pcie_bench_repro::host::Iommu;
+use pcie_bench_repro::host::cache::{CacheStorage, LlcCache, LINE};
+use pcie_bench_repro::host::{HostPreset, Iommu};
 use pcie_bench_repro::model::NicModelParams;
 use pcie_bench_repro::nic::NicSim;
 use pcie_bench_repro::rpc::engine::build_platform;
@@ -291,7 +295,7 @@ fn flow_generator_state_is_sized_once() {
     let (allocs, engine) = allocations(|| FlowEngine::new(cfg, profile));
     assert_eq!(
         allocs, 0,
-        "FlowEngine::new keeps its Rss and flow-length sampler inline"
+        "FlowEngine::new keeps its Rss and samplers inline"
     );
     assert_eq!(engine.profile().flows, 1_250_000);
 
@@ -336,4 +340,56 @@ fn iommu_is_sized_once() {
     assert_eq!(allocs, 0, "100 000 translations after build");
     let s = m.stats();
     assert!(s.tlb_hits > 0 && s.tlb_evictions > 0, "{s:?}");
+}
+
+/// The HSW hosts' LLC: 15 MiB, 20 ways, 12 288 sets.
+fn hsw_llc(pool: &mut CacheStorage) -> LlcCache {
+    let p = HostPreset::nfp6000_hsw();
+    LlcCache::new_reusing(p.llc_bytes, p.llc_ways, p.ddio_ways, pool)
+}
+
+#[test]
+fn llc_is_one_allocation_of_at_most_1_5_mib() {
+    let mut pool = CacheStorage::new();
+    let ((allocs, bytes), mut c) = allocated(|| hsw_llc(&mut pool));
+    assert_eq!(allocs, 1, "the set records are one allocation");
+    assert!(bytes <= 1_572_864, "{bytes} B");
+    let mut rng = SplitMix64::new(22);
+    let (allocs, ()) = allocations(|| {
+        for i in 0..100_000u64 {
+            // A 64 MiB window: four times the cache.
+            let addr = rng.next_u64() % (64 << 20);
+            match i % 3 {
+                0 => _ = c.dma_read(addr),
+                1 => _ = c.dma_write(addr),
+                _ => c.host_touch(addr, i % 2 == 0),
+            }
+        }
+        c.warm_lines(0, (4 << 20) / LINE - 1, true);
+        c.clear();
+    });
+    assert_eq!(allocs, 0, "100 000 probes, a 4 MiB warm and a clear");
+    let s = c.stats();
+    assert!(s.read_hits > 0 && s.write_dirty_evictions > 0, "{s:?}");
+    // The pool's own list allocates when it first takes a buffer.
+    c.recycle_into(&mut pool);
+    let (allocs, c) = allocations(|| hsw_llc(&mut pool));
+    assert_eq!(allocs, 0, "a rebuild from the pool");
+    assert!(!c.contains(0), "the rebuilt cache starts empty");
+}
+
+#[test]
+#[should_panic(expected = "25 ways: a set record holds at most 24")]
+fn llc_rejects_25_ways() {
+    LlcCache::new(25 * 64 * LINE, 25, 2);
+}
+
+#[test]
+#[should_panic(expected = "its tag needs more than 30 bits with 12288 sets")]
+fn llc_rejects_a_tag_wider_than_30_bits() {
+    let mut c = hsw_llc(&mut CacheStorage::new());
+    // Line 2^30 * 12 288 is the first whose tag needs 31 bits.
+    let first_too_wide = (1u64 << 30) * 12_288;
+    c.dma_read((first_too_wide - 1) * LINE);
+    c.dma_read(first_too_wide * LINE);
 }
