@@ -58,11 +58,6 @@ impl SlotGate {
         }
     }
 
-    /// An effectively unbounded gate.
-    pub fn unlimited() -> Self {
-        SlotGate::new(usize::MAX >> 1)
-    }
-
     /// Acquires a slot for a request arriving at `now`; returns the
     /// time the slot is actually obtained. The caller **must** follow
     /// up with [`SlotGate::release_at`].

@@ -34,4 +34,4 @@ pub use config_space::ConfigSpace;
 pub use gate::SlotGate;
 pub use multi::{MultiPlatform, BAR_WINDOW};
 pub use params::DeviceParams;
-pub use platform::{DeviceEngine, DmaPath, Fabric, P2pRoute, Platform};
+pub use platform::{DeviceEngine, DmaPath, Platform};

@@ -13,7 +13,7 @@
 //! IO-TLB.
 
 use crate::params::DeviceParams;
-use crate::platform::{DeviceEngine, DmaPath, DmaResult, P2pRoute};
+use crate::platform::{DeviceEngine, DmaPath, DmaResult, P2pRoute, Target};
 use pcie_host::{HostBuffer, HostSystem};
 use pcie_link::{Direction, LinkTiming};
 use pcie_model::config::LinkConfig;
@@ -164,20 +164,9 @@ impl MultiPlatform {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
-        match &mut self.topo {
-            Topology::Flat => {
-                self.engines[i].dma_read(&mut self.host, want, buf, offset, len, path)
-            }
-            Topology::Switched(sw) => self.engines[i].dma_read_via(
-                &mut self.host,
-                Some((sw, i)),
-                want,
-                buf,
-                offset,
-                len,
-                path,
-            ),
-        }
+        let switch = self.topo.switch_mut().map(|sw| (sw, i));
+        let target = Target::host(&mut self.host, buf, switch);
+        self.engines[i].dma_read(target, want, buf.addr(offset), len, path)
     }
 
     /// DMA write from device `i` into host memory.
@@ -190,27 +179,18 @@ impl MultiPlatform {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
-        match &mut self.topo {
-            Topology::Flat => {
-                self.engines[i].dma_write(&mut self.host, want, buf, offset, len, path)
-            }
-            Topology::Switched(sw) => self.engines[i].dma_write_via(
-                &mut self.host,
-                Some((sw, i)),
-                want,
-                buf,
-                offset,
-                len,
-                path,
-            ),
-        }
+        let switch = self.topo.switch_mut().map(|sw| (sw, i));
+        let target = Target::host(&mut self.host, buf, switch);
+        self.engines[i].dma_write(target, want, buf.addr(offset), len, path)
     }
 
     /// Peer-to-peer DMA write: device `src` writes `len` bytes at
     /// `offset` into device `dst`'s BAR window. The route follows the
     /// topology: forwarded at the switch when one is present (bounced
     /// through the root complex if its ACS redirect knob is on),
-    /// through the root complex on flat attach.
+    /// through the root complex on flat attach. Posted semantics:
+    /// `done` is when the last MWr has left `src`'s wire; `absorbed`
+    /// is when `dst`'s BAR target logic has absorbed the last chunk.
     pub fn p2p_write(
         &mut self,
         src: usize,
@@ -220,14 +200,16 @@ impl MultiPlatform {
         len: u32,
     ) -> DmaResult {
         let addr = Self::bar_addr(dst) + offset;
-        let (eng_src, eng_dst) = pair_mut(&mut self.engines, src, dst);
-        let route = Self::route(&mut self.topo, &mut self.host, src, dst);
-        eng_src.p2p_write(eng_dst, route, want, addr, len)
+        let (engine, target) = self.peer(src, dst);
+        engine.dma_write(target, want, addr, len, DmaPath::DmaEngine)
     }
 
     /// Peer-to-peer DMA read: device `src` reads `len` bytes at
-    /// `offset` from device `dst`'s BAR window (route as in
-    /// [`MultiPlatform::p2p_write`]).
+    /// `offset` from device `dst`'s BAR window. Requests take the
+    /// route of [`MultiPlatform::p2p_write`]; completions are formed
+    /// by `dst`'s BAR target (split by *its* MPS/RCB) and return
+    /// ID-routed — directly through the switch even under ACS
+    /// redirect, which only redirects requests.
     pub fn p2p_read(
         &mut self,
         src: usize,
@@ -237,18 +219,16 @@ impl MultiPlatform {
         len: u32,
     ) -> DmaResult {
         let addr = Self::bar_addr(dst) + offset;
-        let (eng_src, eng_dst) = pair_mut(&mut self.engines, src, dst);
-        let route = Self::route(&mut self.topo, &mut self.host, src, dst);
-        eng_src.p2p_read(eng_dst, route, want, addr, len)
+        let (engine, target) = self.peer(src, dst);
+        engine.dma_read(target, want, addr, len, DmaPath::DmaEngine)
     }
 
-    fn route<'a>(
-        topo: &'a mut Topology,
-        host: &'a mut HostSystem,
-        src: usize,
-        dst: usize,
-    ) -> P2pRoute<'a> {
-        match topo {
+    /// Device `src`'s engine and, as its target, device `dst` along
+    /// the topology's peer-to-peer route.
+    fn peer(&mut self, src: usize, dst: usize) -> (&mut DeviceEngine, Target<'_>) {
+        let (engine, peer) = pair_mut(&mut self.engines, src, dst);
+        let host = &mut self.host;
+        let route = match &mut self.topo {
             Topology::Flat => P2pRoute::RootComplex { host },
             Topology::Switched(sw) => {
                 debug_assert_eq!(
@@ -271,7 +251,8 @@ impl MultiPlatform {
                     }
                 }
             }
-        }
+        };
+        (engine, Target::Peer { peer, route })
     }
 
     /// Assembles the cross-layer telemetry snapshot: per-device link
@@ -562,6 +543,83 @@ mod tests {
             .groups()
             .iter()
             .any(|g| g.component.starts_with("dev0.link.replay")));
+    }
+
+    /// Peer DMAs share the host DMAs' chunk loops, so a drop or poison
+    /// on the initiator's link meets the same AER accounting,
+    /// completion timer, retries and aborts.
+    #[test]
+    fn peer_dmas_meet_drops_and_poison_like_host_dmas() {
+        use pcie_fault::{DirFaults, FaultPlan};
+        // Every link drops its 3rd upstream TLP and poisons its 5th;
+        // on device 0 those are peer requests.
+        let plan = |max_read_retries| FaultPlan {
+            upstream: DirFaults {
+                drop_nth: Some(3),
+                poison_nth: Some(5),
+                ..DirFaults::none()
+            },
+            max_read_retries,
+            ..FaultPlan::none()
+        };
+        let gap = SimTime::from_us(50);
+        for acs in [false, true] {
+            let pair = |plan: FaultPlan| {
+                let sw = SwitchConfig::gen3_x8();
+                let mut p = MultiPlatform::homogeneous_switched(
+                    2,
+                    DeviceParams::nfp6000(),
+                    LinkConfig::gen3_x8(),
+                    LinkTiming::default(),
+                    HostSystem::new(HostPreset::nfp6000_hsw(), 11),
+                    if acs { sw.with_acs_redirect() } else { sw },
+                );
+                p.set_fault_plan(&plan, 1);
+                p
+            };
+
+            // Eight one-TLP peer writes: the lost two are counted and
+            // reach neither the peer's port nor the root complex.
+            let mut p = pair(plan(2));
+            for i in 0..8 {
+                p.p2p_write(0, 1, gap.times(i), i * 256, 256);
+            }
+            let e = *p.engine(0).device_errors();
+            let fc = p.engine(0).link().fault_counters(Direction::Upstream);
+            let fc = fc.expect("plan installed");
+            assert_eq!((e.dropped_writes, e.poisoned_writes), (1, 1), "acs {acs}");
+            assert_eq!((fc.dropped, fc.poisoned), (1, 1), "acs {acs}");
+            let (to_port, to_rc) = (
+                p.switch().unwrap().port_counters(1).p2p_out_tlps,
+                p.host.stats().p2p_redirects,
+            );
+            let want = if acs { (0, 6) } else { (6, 0) };
+            assert_eq!((to_port, to_rc), want, "acs {acs}");
+
+            // Eight one-request peer reads: the 3rd's request is
+            // dropped and the 4th's poisoned, so each waits out the
+            // completion timer and succeeds on its retry.
+            let mut p = pair(plan(2));
+            let lat: Vec<SimTime> = (0..8)
+                .map(|i| p.p2p_read(0, 1, gap.times(i), 0, 256).latency())
+                .collect();
+            let e = *p.engine(0).device_errors();
+            assert_eq!(e.completion_timeouts, 2, "acs {acs}: {e:?}");
+            assert_eq!(e.read_retries, 2, "acs {acs}: {e:?}");
+            assert_eq!(e.read_aborts, 0, "acs {acs}: {e:?}");
+            let timeout = plan(2).completion_timeout;
+            for faulted in [lat[2], lat[3]] {
+                assert!(faulted >= lat[0] + timeout, "acs {acs}: {lat:?}");
+            }
+
+            // Without a retry budget both reads abort.
+            let mut p = pair(plan(0));
+            for i in 0..8 {
+                p.p2p_read(0, 1, gap.times(i), 0, 256);
+            }
+            let e = *p.engine(0).device_errors();
+            assert_eq!((e.read_aborts, e.read_retries), (2, 0), "acs {acs}");
+        }
     }
 
     #[test]

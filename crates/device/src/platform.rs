@@ -20,9 +20,11 @@
 //! schedule: bandwidth is *produced*, not computed.
 //!
 //! The per-device machinery lives in [`DeviceEngine`], which borrows
-//! the [`HostSystem`] per call — so several engines can share one host
-//! (see [`crate::multi::MultiPlatform`], the paper's §9 multi-device
-//! scenario). [`Platform`] is the common single-device bundle.
+//! each DMA's target — host memory in a [`HostSystem`], or a peer
+//! device's BAR window — per call, so several engines can share one
+//! host (see [`crate::multi::MultiPlatform`], the paper's §9
+//! multi-device scenario). [`Platform`] is the common single-device
+//! bundle.
 
 use crate::config_space::ConfigSpace;
 use crate::gate::SlotGate;
@@ -53,9 +55,10 @@ pub struct DmaResult {
     pub issued: SimTime,
     /// When the device observed completion.
     pub done: SimTime,
-    /// When the host memory system absorbed the transfer. For reads
-    /// this equals `done`; for (posted) writes it is the instant the
-    /// data became host-visible, which the device cannot observe.
+    /// When the target — host memory, or a peer's BAR — absorbed the
+    /// transfer. For reads this equals `done`; for (posted) writes it
+    /// is the instant the data became visible there, which the device
+    /// cannot observe.
     pub absorbed: SimTime,
 }
 
@@ -71,17 +74,9 @@ impl DmaResult {
 const POSTED_HDR_CREDITS: usize = 64;
 const NONPOSTED_HDR_CREDITS: usize = 64;
 
-/// The fabric between a device's link and the root complex: `None` is
-/// the flat root-complex attach (the pre-topology configuration — the
-/// code path is identical, keeping flat results bit-identical), and
-/// `Some((switch, port))` interposes downstream port `port` of
-/// `switch` so host-bound TLPs pay the cut-through and shared-upstream
-/// serialisation.
-pub type Fabric<'a> = Option<(&'a mut Switch, usize)>;
-
 /// How peer-to-peer memory TLPs travel between two devices (§9
 /// future-work configuration; see DESIGN.md §9).
-pub enum P2pRoute<'a> {
+pub(crate) enum P2pRoute<'a> {
     /// Both devices behind one switch with ACS redirect off: requests
     /// are address-routed at the switch and never reach the root
     /// complex.
@@ -120,6 +115,226 @@ pub enum P2pRoute<'a> {
 /// vs switched comparisons isolate the fabric cost.
 const FLAT_BAR_READ_LATENCY: SimTime = SimTime::from_ns(150);
 const FLAT_BAR_WRITE_LATENCY: SimTime = SimTime::from_ns(50);
+
+impl P2pRoute<'_> {
+    /// The peer BAR target's (read, write) latency.
+    fn bar_latency(&self) -> (SimTime, SimTime) {
+        match self {
+            P2pRoute::Switch { switch, .. } | P2pRoute::AcsRedirect { switch, .. } => (
+                switch.config().bar_read_latency,
+                switch.config().bar_write_latency,
+            ),
+            P2pRoute::RootComplex { .. } => (FLAT_BAR_READ_LATENCY, FLAT_BAR_WRITE_LATENCY),
+        }
+    }
+
+    /// Carries a request for `len` bytes at `addr`, off the
+    /// initiator's link at `at`, onto the peer's downstream wire as a
+    /// sporadic TLP (out-of-FIFO, bytes still accounted); returns when
+    /// it reaches the peer.
+    fn request(
+        &mut self,
+        peer: &mut Link,
+        domain: u32,
+        ty: TlpType,
+        addr: u64,
+        len: u32,
+        at: SimTime,
+    ) -> SimTime {
+        let payload = if ty.has_data() { len } else { 0 };
+        let at = match self {
+            P2pRoute::Switch {
+                switch,
+                src_port,
+                dst_port,
+            } => switch.forward_peer(*src_port, *dst_port, ty, payload, at),
+            P2pRoute::AcsRedirect {
+                switch,
+                src_port,
+                dst_port,
+                host,
+            } => {
+                let up = switch.forward_up(*src_port, ty, payload, at);
+                let rc = host.process_peer_tlp(up, domain, addr, len);
+                switch.forward_down(*dst_port, ty, payload, rc)
+            }
+            P2pRoute::RootComplex { host } => host.process_peer_tlp(at, domain, addr, len),
+        };
+        peer.send_tlp_deferred(Direction::Downstream, ty, payload, at)
+    }
+
+    /// Carries a completion of `len` bytes, off the peer's link at
+    /// `at`, to the initiator's link. Completions are ID-routed, so
+    /// they cross the switch directly even under ACS redirect.
+    fn completion(&mut self, len: u32, at: SimTime) -> SimTime {
+        match self {
+            P2pRoute::Switch {
+                switch,
+                src_port,
+                dst_port,
+            }
+            | P2pRoute::AcsRedirect {
+                switch,
+                src_port,
+                dst_port,
+                ..
+            } => switch.forward_peer(*dst_port, *src_port, TlpType::CplD, len, at),
+            // Flat: the completion traverses the root complex port
+            // logic; the request already paid the RC pipe, so only
+            // wire time is charged here.
+            P2pRoute::RootComplex { .. } => at,
+        }
+    }
+}
+
+/// Where a DMA's TLPs go once they leave the device's own link: the
+/// one leg in which host and peer DMAs differ. Everything before it —
+/// gates, issue port, the device link and its fault verdicts — is the
+/// engine's one chunk loop per direction.
+pub(crate) enum Target<'a> {
+    /// Host memory in `buf`.
+    Host {
+        /// The host whose root complex serves the TLPs.
+        host: &'a mut HostSystem,
+        /// The buffer the DMA's addresses fall in.
+        buf: &'a HostBuffer,
+        /// The switch and downstream port the device hangs off;
+        /// `None` is the flat root-complex attach.
+        switch: Option<(&'a mut Switch, usize)>,
+    },
+    /// A peer device's BAR window.
+    Peer {
+        /// The peer, whose link carries the TLPs' last hop.
+        peer: &'a mut DeviceEngine,
+        /// The path between the two devices' links.
+        route: P2pRoute<'a>,
+    },
+}
+
+/// One MRd request's leg beyond the device's link, as its target
+/// reports it.
+#[derive(Clone, Copy)]
+struct ReadLeg {
+    /// When the request reached the target.
+    req_arrival: SimTime,
+    /// When the target had the data ready to return.
+    ready: SimTime,
+    /// When the last completion arrived back at the device.
+    last_arrival: SimTime,
+    /// DLL recovery time the completions spent on the device's link.
+    cpl_fault: SimTime,
+    /// A completion was lost above the DLL.
+    cpl_dropped: bool,
+    /// A completion arrived poisoned.
+    cpl_poisoned: bool,
+}
+
+impl<'a> Target<'a> {
+    /// Host memory in `buf`, behind `switch` (see [`Target::Host`]).
+    pub(crate) fn host(
+        host: &'a mut HostSystem,
+        buf: &'a HostBuffer,
+        switch: Option<(&'a mut Switch, usize)>,
+    ) -> Self {
+        Target::Host { host, buf, switch }
+    }
+
+    /// Carries one MWr chunk, off the device's link at `arrival`, into
+    /// the target; returns when the target has absorbed it.
+    fn write(&mut self, domain: u32, addr: u64, len: u32, arrival: SimTime) -> SimTime {
+        match self {
+            Target::Host { host, buf, switch } => {
+                // Through a switch the TLP still has the cut-through
+                // and the shared upstream link ahead of it before the
+                // root complex sees it.
+                let rc_at = match switch {
+                    Some((sw, port)) => sw.forward_up(*port, TlpType::MWr64, len, arrival),
+                    None => arrival,
+                };
+                host.process_write_tlp(rc_at, domain, buf, addr, len)
+            }
+            Target::Peer { peer, route } => {
+                let at = route.request(&mut peer.link, domain, TlpType::MWr64, addr, len, arrival);
+                at + route.bar_latency().1
+            }
+        }
+    }
+
+    /// Carries one MRd request for `len` bytes at `addr`, off the far
+    /// end of the device's `link` at `arrival`, to the target, and its
+    /// completions back to the device.
+    fn read(
+        &mut self,
+        link: &mut Link,
+        domain: u32,
+        addr: u64,
+        len: u32,
+        arrival: SimTime,
+    ) -> ReadLeg {
+        match self {
+            Target::Host { host, buf, switch } => {
+                // Behind a switch the request still crosses the
+                // cut-through stage and the shared upstream link; the
+                // wire stage of the telemetry attribution absorbs both.
+                let req_arrival = match switch {
+                    Some((sw, port)) => sw.forward_up(*port, TlpType::MRd64, 0, arrival),
+                    None => arrival,
+                };
+                let ready = host.process_read_tlp(req_arrival, domain, buf, addr, len);
+                let mut leg = ReadLeg::new(req_arrival, ready);
+                let cfg = *link.config();
+                for cpl in split::completion_chunks(addr, len, cfg.mps, cfg.rcb) {
+                    let at = match switch {
+                        Some((sw, port)) => sw.forward_down(*port, TlpType::CplD, cpl.len, ready),
+                        None => ready,
+                    };
+                    let out = link.send_tlp_ext(Direction::Downstream, TlpType::CplD, cpl.len, at);
+                    leg.last_arrival = leg.last_arrival.max(out.arrival);
+                    leg.cpl_fault += out.fault_delay;
+                    leg.cpl_dropped |= out.dropped;
+                    leg.cpl_poisoned |= out.poisoned;
+                }
+                leg
+            }
+            Target::Peer { peer, route } => {
+                let peer = &mut peer.link;
+                let at_peer = route.request(peer, domain, TlpType::MRd64, addr, len, arrival);
+                let mut leg = ReadLeg::new(at_peer, at_peer + route.bar_latency().0);
+                // Completions: split by the peer's MPS/RCB, serialised
+                // on the peer's upstream wire (chained manually —
+                // deferred sends are debt-accounted but not
+                // FIFO-ratcheted).
+                let (cfg, prop) = (*peer.config(), peer.timing().propagation);
+                let mut start = leg.ready;
+                for cpl in split::completion_chunks(addr, len, cfg.mps, cfg.rcb) {
+                    let t =
+                        peer.send_tlp_deferred(Direction::Upstream, TlpType::CplD, cpl.len, start);
+                    start = t.saturating_sub(prop);
+                    let back = route.completion(cpl.len, t);
+                    let arrival =
+                        link.send_tlp_deferred(Direction::Downstream, TlpType::CplD, cpl.len, back);
+                    leg.last_arrival = leg.last_arrival.max(arrival);
+                }
+                leg
+            }
+        }
+    }
+}
+
+impl ReadLeg {
+    /// A leg whose request arrived at `req_arrival` and whose data is
+    /// ready at `ready`, before any completion is sent.
+    fn new(req_arrival: SimTime, ready: SimTime) -> Self {
+        ReadLeg {
+            req_arrival,
+            ready,
+            last_arrival: ready,
+            cpl_fault: SimTime::ZERO,
+            cpl_dropped: false,
+            cpl_poisoned: false,
+        }
+    }
+}
 
 /// One device's complete PCIe machinery: its link, DMA engine issue
 /// port, worker pool, tag window and flow-control credit gates, plus
@@ -229,30 +444,12 @@ impl DeviceEngine {
         &self.link
     }
 
-    /// Issues a DMA read through this engine (flat root-complex
-    /// attach).
-    pub fn dma_read(
+    /// Issues a DMA read of `len` bytes at `addr` from `target`.
+    pub(crate) fn dma_read(
         &mut self,
-        host: &mut HostSystem,
+        mut target: Target<'_>,
         want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
-        len: u32,
-        path: DmaPath,
-    ) -> DmaResult {
-        self.dma_read_via(host, None, want, buf, offset, len, path)
-    }
-
-    /// Issues a DMA read through an explicit fabric (`None` = flat
-    /// attach, identical to [`DeviceEngine::dma_read`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn dma_read_via(
-        &mut self,
-        host: &mut HostSystem,
-        fab: Fabric<'_>,
-        want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
+        addr: u64,
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
@@ -270,9 +467,12 @@ impl DeviceEngine {
                 t
             }
         };
-        let done = self.read_after_via(host, fab, issued, t0, buf, offset, len, path);
+        let done = self.read_after(&mut target, issued, t0, addr, len, path);
         self.workers.release_at(done);
-        self.dma_reads += 1;
+        match target {
+            Target::Host { .. } => self.dma_reads += 1,
+            Target::Peer { .. } => self.p2p_reads += 1,
+        }
         DmaResult {
             issued,
             done,
@@ -280,38 +480,22 @@ impl DeviceEngine {
         }
     }
 
-    /// Issues a DMA write. `done` is when the device sees the write
-    /// completed (data handed to the wire); host absorption is later
-    /// and only observable through ordering and credit back-pressure.
-    pub fn dma_write(
+    /// Issues a DMA write of `len` bytes at `addr` into `target`.
+    pub(crate) fn dma_write(
         &mut self,
-        host: &mut HostSystem,
+        mut target: Target<'_>,
         want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
-        len: u32,
-        path: DmaPath,
-    ) -> DmaResult {
-        self.dma_write_via(host, None, want, buf, offset, len, path)
-    }
-
-    /// Issues a DMA write through an explicit fabric (`None` = flat
-    /// attach, identical to [`DeviceEngine::dma_write`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn dma_write_via(
-        &mut self,
-        host: &mut HostSystem,
-        fab: Fabric<'_>,
-        want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
+        addr: u64,
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
         let issued = self.workers.acquire(want);
-        let (done, absorbed) = self.write_inner_via(host, fab, issued, buf, offset, len, path);
+        let (done, absorbed) = self.write_inner(&mut target, issued, addr, len, path);
         self.workers.release_at(done);
-        self.dma_writes += 1;
+        match target {
+            Target::Host { .. } => self.dma_writes += 1,
+            Target::Peer { .. } => self.p2p_writes += 1,
+        }
         DmaResult {
             issued,
             done,
@@ -319,18 +503,16 @@ impl DeviceEngine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn write_inner_via(
+    /// The MWr chunk loop every write shares: `(done, absorbed)`,
+    /// where `done` is when the last MWr has left the device's wire.
+    fn write_inner(
         &mut self,
-        host: &mut HostSystem,
-        mut fab: Fabric<'_>,
+        target: &mut Target<'_>,
         issued: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
+        addr: u64,
         len: u32,
         path: DmaPath,
     ) -> (SimTime, SimTime) {
-        let addr = buf.addr(offset);
         let t0 = match path {
             DmaPath::DmaEngine => {
                 // Stage the payload out of internal memory, then enqueue.
@@ -353,37 +535,25 @@ impl DeviceEngine {
             let out = self
                 .link
                 .send_tlp_ext(Direction::Upstream, TlpType::MWr64, chunk.len, p_at);
-            let arrival = out.arrival;
-            if out.dropped || out.poisoned {
+            let absorbed = if out.dropped || out.poisoned {
                 // Lost above the DLL, or delivered poisoned and
-                // discarded by the RC: posted writes have no
-                // completion, so the device never learns — the data is
-                // silently gone and only the AER counters record it.
-                // The credit returns after header processing.
+                // discarded by the receiver: posted writes have no
+                // completion, so the device never learns — the data
+                // is silently gone and only the AER counters record
+                // it. The credit returns after header processing.
                 if out.dropped {
                     self.errors.dropped_writes += 1;
                 } else {
                     self.errors.poisoned_writes += 1;
                 }
-                let freed = arrival + SimTime::from_ns(20);
-                self.posted_credits.release_at(freed);
-                absorbed_last = absorbed_last.max(freed);
-                sent_last = arrival - prop;
-                continue;
-            }
-            // Through a switch the TLP still has the cut-through and
-            // the shared upstream link ahead of it before the root
-            // complex sees it.
-            let rc_at = match fab.as_mut() {
-                Some((sw, port)) => sw.forward_up(*port, TlpType::MWr64, chunk.len, arrival),
-                None => arrival,
+                out.arrival + SimTime::from_ns(20)
+            } else {
+                target.write(self.domain, chunk.addr, chunk.len, out.arrival)
             };
-            let absorbed =
-                host.process_write_tlp_in(rc_at, self.domain, buf, chunk.addr, chunk.len);
-            // Posted credits return once the RC absorbs the write.
+            // Posted credits return once the target absorbs the write.
             self.posted_credits.release_at(absorbed);
             absorbed_last = absorbed_last.max(absorbed);
-            sent_last = arrival - prop; // device-side end of serialisation
+            sent_last = out.arrival - prop; // device-side end of serialisation
         }
         (sent_last + self.dev.dma_complete_overhead, absorbed_last)
     }
@@ -391,29 +561,26 @@ impl DeviceEngine {
     /// The `LAT_WRRD` primitive (§4.1): a DMA write immediately
     /// followed by a DMA read of the same address; PCIe ordering makes
     /// the read observe the write's cost.
-    pub fn dma_write_read(
+    pub(crate) fn dma_write_read(
         &mut self,
-        host: &mut HostSystem,
+        mut target: Target<'_>,
         want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
+        addr: u64,
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
         let issued = self.workers.acquire(want);
-        let (write_done, _) = self.write_inner_via(host, None, issued, buf, offset, len, path);
+        let (write_done, _) = self.write_inner(&mut target, issued, addr, len, path);
         // The read descriptor follows the write into the queue.
-        let read = match path {
+        let t0 = match path {
             DmaPath::DmaEngine => {
                 let prep = write_done.max(issued + self.dev.dma_issue_overhead);
-                let t0 = self.issue_port.reserve(prep, self.dev.issue_gap).end;
                 // The read's Issue stage absorbs the preceding write.
-                self.read_after_via(host, None, issued, t0, buf, offset, len, path)
+                self.issue_port.reserve(prep, self.dev.issue_gap).end
             }
-            DmaPath::CommandIf => {
-                self.read_after_via(host, None, issued, write_done, buf, offset, len, path)
-            }
+            DmaPath::CommandIf => write_done,
         };
+        let read = self.read_after(&mut target, issued, t0, addr, len, path);
         self.workers.release_at(read);
         self.dma_write_reads += 1;
         DmaResult {
@@ -423,7 +590,7 @@ impl DeviceEngine {
         }
     }
 
-    /// Read issue path shared with `dma_write_read` (no worker gate).
+    /// The MRd/CplD chunk loop every read shares (no worker gate).
     ///
     /// `issued` is the worker-acquisition instant; when telemetry is
     /// enabled the *critical* (last-completing) chunk's boundary
@@ -431,39 +598,32 @@ impl DeviceEngine {
     /// telescope — `issued → t0 → np_at → req_arrival → ready →
     /// last_arrival → done` — so the sample's stage durations sum
     /// exactly to the end-to-end latency `done - issued`.
-    #[allow(clippy::too_many_arguments)]
-    fn read_after_via(
+    fn read_after(
         &mut self,
-        host: &mut HostSystem,
-        mut fab: Fabric<'_>,
+        target: &mut Target<'_>,
         issued: SimTime,
         t0: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
+        addr: u64,
         len: u32,
         path: DmaPath,
     ) -> SimTime {
-        let addr = buf.addr(offset);
-        let (mrrs, mps, rcb) = {
-            let cfg = self.link.config();
-            (cfg.mrrs, cfg.mps, cfg.rcb)
-        };
+        let mrrs = self.link.config().mrrs;
         let mut data_done = t0;
         // Boundary timestamps of the critical chunk (first_np,
-        // np_final, req_arrival, ready) plus its DLL recovery time on
-        // the request and completion wires; only tracked when
-        // telemetry is on. Fault-free, first_np == np_final and the
-        // fault terms are zero, so attribution is unchanged.
-        let mut critical: Option<(SimTime, SimTime, SimTime, SimTime, SimTime, SimTime)> = None;
+        // np_final, the request's DLL recovery time, its leg beyond
+        // the link); only tracked when telemetry is on. Fault-free,
+        // first_np == np_final and the fault terms are zero, so
+        // attribution is unchanged.
+        let mut critical: Option<(SimTime, SimTime, SimTime, ReadLeg)> = None;
         let mut aborted = false;
         for chunk in split::read_request_chunks(addr, len, mrrs) {
             let tag_at = self.read_tags.acquire(t0);
             let mut attempt_start = tag_at;
             let mut first_np: Option<SimTime> = None;
             let mut retries = 0u32;
-            // Ok: successful chunk (np_final, req_arrival, ready,
-            // last_arrival, req_fault, cpl_fault). Err: aborted at the
-            // given instant after exhausting the retry budget.
+            // Ok: successful chunk (np_final, req_fault, leg). Err:
+            // aborted at the given instant after exhausting the retry
+            // budget.
             let outcome = loop {
                 let np_at = self.nonposted_credits.acquire(attempt_start);
                 first_np.get_or_insert(np_at);
@@ -472,98 +632,54 @@ impl DeviceEngine {
                     .send_tlp_ext(Direction::Upstream, TlpType::MRd64, 0, np_at);
                 self.nonposted_credits
                     .release_at(req.arrival + SimTime::from_ns(5));
-                if req.dropped || req.poisoned {
+                // When the engine can re-issue a failed attempt.
+                let resume = if req.dropped || req.poisoned {
                     // The request never produces a completion (a
-                    // poisoned request is discarded by the RC): the
-                    // engine's completion timer, armed at issue,
+                    // poisoned request is discarded by the receiver):
+                    // the engine's completion timer, armed at issue,
                     // expires and the read is re-issued.
                     self.errors.completion_timeouts += 1;
-                    let resume = np_at + self.completion_timeout;
-                    if retries >= self.max_read_retries {
-                        self.errors.read_aborts += 1;
-                        break Err(resume);
+                    np_at + self.completion_timeout
+                } else {
+                    let leg = target.read(
+                        &mut self.link,
+                        self.domain,
+                        chunk.addr,
+                        chunk.len,
+                        req.arrival,
+                    );
+                    if leg.cpl_dropped {
+                        // A lost completion is indistinguishable from
+                        // a lost request: wait out the completion
+                        // timer.
+                        self.errors.completion_timeouts += 1;
+                        np_at + self.completion_timeout
+                    } else if leg.cpl_poisoned {
+                        // Poison (EP bit) is detected on arrival; the
+                        // data is discarded and the read re-issued
+                        // immediately.
+                        self.errors.poisoned_completions += 1;
+                        leg.last_arrival
+                    } else {
+                        break Ok((np_at, req.fault_delay, leg));
                     }
-                    retries += 1;
-                    self.errors.read_retries += 1;
-                    attempt_start = resume;
-                    continue;
-                }
-                // Behind a switch the request still crosses the
-                // cut-through stage and the shared upstream link; the
-                // wire stage of the telemetry attribution absorbs both.
-                let req_arrival = match fab.as_mut() {
-                    Some((sw, port)) => sw.forward_up(*port, TlpType::MRd64, 0, req.arrival),
-                    None => req.arrival,
                 };
-                let ready =
-                    host.process_read_tlp_in(req_arrival, self.domain, buf, chunk.addr, chunk.len);
-                let mut last_arrival = ready;
-                let mut cpl_fault = SimTime::ZERO;
-                let mut cpl_dropped = false;
-                let mut cpl_poisoned = false;
-                for cpl in split::completion_chunks(chunk.addr, chunk.len, mps, rcb) {
-                    let at = match fab.as_mut() {
-                        Some((sw, port)) => sw.forward_down(*port, TlpType::CplD, cpl.len, ready),
-                        None => ready,
-                    };
-                    let out =
-                        self.link
-                            .send_tlp_ext(Direction::Downstream, TlpType::CplD, cpl.len, at);
-                    last_arrival = out.arrival;
-                    cpl_fault += out.fault_delay;
-                    cpl_dropped |= out.dropped;
-                    cpl_poisoned |= out.poisoned;
+                if retries >= self.max_read_retries {
+                    self.errors.read_aborts += 1;
+                    break Err(resume);
                 }
-                if cpl_dropped {
-                    // A lost completion is indistinguishable from a
-                    // lost request: wait out the completion timer.
-                    self.errors.completion_timeouts += 1;
-                    let resume = np_at + self.completion_timeout;
-                    if retries >= self.max_read_retries {
-                        self.errors.read_aborts += 1;
-                        break Err(resume);
-                    }
-                    retries += 1;
-                    self.errors.read_retries += 1;
-                    attempt_start = resume;
-                    continue;
-                }
-                if cpl_poisoned {
-                    // Poison (EP bit) is detected on arrival; the data
-                    // is discarded and the read re-issued immediately.
-                    self.errors.poisoned_completions += 1;
-                    if retries >= self.max_read_retries {
-                        self.errors.read_aborts += 1;
-                        break Err(last_arrival);
-                    }
-                    retries += 1;
-                    self.errors.read_retries += 1;
-                    attempt_start = last_arrival;
-                    continue;
-                }
-                break Ok((
-                    np_at,
-                    req_arrival,
-                    ready,
-                    last_arrival,
-                    req.fault_delay,
-                    cpl_fault,
-                ));
+                retries += 1;
+                self.errors.read_retries += 1;
+                attempt_start = resume;
             };
             match outcome {
-                Ok((np_final, req_arrival, ready, last_arrival, req_fault, cpl_fault)) => {
-                    self.read_tags.release_at(last_arrival);
-                    if self.telem.is_some() && last_arrival >= data_done {
-                        critical = Some((
-                            first_np.expect("at least one attempt"),
-                            np_final,
-                            req_arrival,
-                            ready,
-                            req_fault,
-                            cpl_fault,
-                        ));
+                Ok((np_final, req_fault, leg)) => {
+                    self.read_tags.release_at(leg.last_arrival);
+                    if self.telem.is_some() && leg.last_arrival >= data_done {
+                        let first_np = first_np.expect("at least one attempt");
+                        critical = Some((first_np, np_final, req_fault, leg));
                     }
-                    data_done = data_done.max(last_arrival);
+                    data_done = data_done.max(leg.last_arrival);
                 }
                 Err(resume) => {
                     // The chunk is abandoned; the tag frees when the
@@ -585,26 +701,27 @@ impl DeviceEngine {
             // attribution would be meaningless, so it is not recorded.
             return done;
         }
-        if let (Some(stats), Some((first_np, np_final, req_arrival, ready, req_fault, cpl_fault))) =
+        if let (Some(stats), Some((first_np, np_final, req_fault, leg))) =
             (self.telem.as_deref_mut(), critical)
         {
             // DLL retransmissions and completion-timeout waits are
             // attributed to the Replay stage; the wire stages keep
             // their clean serialisation + propagation time, so the
             // seven stages still telescope to `done - issued`.
-            let replay_ns =
-                (np_final - first_np).as_ns_f64() + req_fault.as_ns_f64() + cpl_fault.as_ns_f64();
+            let replay_ns = (np_final - first_np).as_ns_f64()
+                + req_fault.as_ns_f64()
+                + leg.cpl_fault.as_ns_f64();
             let mut s = StageSample::default();
             s.set(Stage::Issue, (t0 - issued).as_ns_f64())
                 .set(Stage::TagAlloc, (first_np - t0).as_ns_f64())
                 .set(
                     Stage::RequestWire,
-                    (req_arrival - np_final).as_ns_f64() - req_fault.as_ns_f64(),
+                    (leg.req_arrival - np_final).as_ns_f64() - req_fault.as_ns_f64(),
                 )
-                .set(Stage::Host, (ready - req_arrival).as_ns_f64())
+                .set(Stage::Host, (leg.ready - leg.req_arrival).as_ns_f64())
                 .set(
                     Stage::CompletionWire,
-                    (data_done - ready).as_ns_f64() - cpl_fault.as_ns_f64(),
+                    (data_done - leg.ready).as_ns_f64() - leg.cpl_fault.as_ns_f64(),
                 )
                 .set(Stage::Replay, replay_ns)
                 .set(Stage::DeviceCompletion, (done - data_done).as_ns_f64());
@@ -613,231 +730,15 @@ impl DeviceEngine {
         done
     }
 
-    /// Peer-to-peer DMA write: this engine writes `len` bytes into the
-    /// peer device's BAR window at `addr`, travelling the given
-    /// [`P2pRoute`]. Posted semantics: `done` is when the last MWr has
-    /// left this device's wire; `absorbed` is when the peer's BAR
-    /// target logic has absorbed the last chunk.
-    pub fn p2p_write(
-        &mut self,
-        peer: &mut DeviceEngine,
-        mut route: P2pRoute<'_>,
-        want: SimTime,
-        addr: u64,
-        len: u32,
-    ) -> DmaResult {
-        let issued = self.workers.acquire(want);
-        // Stage the payload out of internal memory, then enqueue.
-        let staged = issued + self.dev.internal_copy(len);
-        let prep = staged + self.dev.dma_issue_overhead;
-        let t0 = self.issue_port.reserve(prep, self.dev.issue_gap).end;
-        let mps = self.link.config().mps;
-        let prop = self.link.timing().propagation;
-        let mut sent_last = t0;
-        let mut absorbed_last = t0;
-        for chunk in split::write_chunks(addr, len, mps) {
-            let p_at = self.posted_credits.acquire(sent_last.max(t0));
-            let out = self
-                .link
-                .send_tlp_ext(Direction::Upstream, TlpType::MWr64, chunk.len, p_at);
-            // The peer-bound leg: delivered onto the peer's downstream
-            // wire as a sporadic TLP (out-of-FIFO, bytes still
-            // accounted), then absorbed by the peer's BAR target.
-            let absorbed = match &mut route {
-                P2pRoute::Switch {
-                    switch,
-                    src_port,
-                    dst_port,
-                } => {
-                    let at = switch.forward_peer(
-                        *src_port,
-                        *dst_port,
-                        TlpType::MWr64,
-                        chunk.len,
-                        out.arrival,
-                    );
-                    let dev_at = peer.link.send_tlp_deferred(
-                        Direction::Downstream,
-                        TlpType::MWr64,
-                        chunk.len,
-                        at,
-                    );
-                    dev_at + switch.config().bar_write_latency
-                }
-                P2pRoute::AcsRedirect {
-                    switch,
-                    src_port,
-                    dst_port,
-                    host,
-                } => {
-                    let up = switch.forward_up(*src_port, TlpType::MWr64, chunk.len, out.arrival);
-                    let rc = host.process_peer_tlp(up, self.domain, chunk.addr, chunk.len);
-                    let down = switch.forward_down(*dst_port, TlpType::MWr64, chunk.len, rc);
-                    let dev_at = peer.link.send_tlp_deferred(
-                        Direction::Downstream,
-                        TlpType::MWr64,
-                        chunk.len,
-                        down,
-                    );
-                    dev_at + switch.config().bar_write_latency
-                }
-                P2pRoute::RootComplex { host } => {
-                    let rc = host.process_peer_tlp(out.arrival, self.domain, chunk.addr, chunk.len);
-                    let dev_at = peer.link.send_tlp_deferred(
-                        Direction::Downstream,
-                        TlpType::MWr64,
-                        chunk.len,
-                        rc,
-                    );
-                    dev_at + FLAT_BAR_WRITE_LATENCY
-                }
-            };
-            self.posted_credits.release_at(absorbed);
-            absorbed_last = absorbed_last.max(absorbed);
-            sent_last = out.arrival - prop;
-        }
-        let done = sent_last + self.dev.dma_complete_overhead;
-        self.workers.release_at(done);
-        self.p2p_writes += 1;
-        DmaResult {
-            issued,
-            done,
-            absorbed: absorbed_last,
-        }
-    }
-
-    /// Peer-to-peer DMA read: this engine reads `len` bytes from the
-    /// peer device's BAR window at `addr`. Requests travel the given
-    /// [`P2pRoute`]; completions are formed by the peer's BAR target
-    /// (split by the *peer's* MPS/RCB) and return ID-routed — directly
-    /// through the switch even under ACS redirect, which only
-    /// redirects requests.
-    pub fn p2p_read(
-        &mut self,
-        peer: &mut DeviceEngine,
-        mut route: P2pRoute<'_>,
-        want: SimTime,
-        addr: u64,
-        len: u32,
-    ) -> DmaResult {
-        let issued = self.workers.acquire(want);
-        let prep = issued + self.dev.dma_issue_overhead;
-        let t0 = self.issue_port.reserve(prep, self.dev.issue_gap).end;
-        let cfg = *self.link.config();
-        let peer_cfg = *peer.link.config();
-        let peer_prop = peer.link.timing().propagation;
-        let mut data_done = t0;
-        for chunk in split::read_request_chunks(addr, len, cfg.mrrs) {
-            let tag_at = self.read_tags.acquire(t0);
-            let np_at = self.nonposted_credits.acquire(tag_at);
-            let req = self
-                .link
-                .send_tlp_ext(Direction::Upstream, TlpType::MRd64, 0, np_at);
-            self.nonposted_credits
-                .release_at(req.arrival + SimTime::from_ns(5));
-            let bar_read = match &route {
-                P2pRoute::Switch { switch, .. } | P2pRoute::AcsRedirect { switch, .. } => {
-                    switch.config().bar_read_latency
-                }
-                P2pRoute::RootComplex { .. } => FLAT_BAR_READ_LATENCY,
-            };
-            let at_peer = match &mut route {
-                P2pRoute::Switch {
-                    switch,
-                    src_port,
-                    dst_port,
-                } => {
-                    let at =
-                        switch.forward_peer(*src_port, *dst_port, TlpType::MRd64, 0, req.arrival);
-                    peer.link
-                        .send_tlp_deferred(Direction::Downstream, TlpType::MRd64, 0, at)
-                }
-                P2pRoute::AcsRedirect {
-                    switch,
-                    src_port,
-                    dst_port,
-                    host,
-                } => {
-                    let up = switch.forward_up(*src_port, TlpType::MRd64, 0, req.arrival);
-                    let rc = host.process_peer_tlp(up, self.domain, chunk.addr, chunk.len);
-                    let down = switch.forward_down(*dst_port, TlpType::MRd64, 0, rc);
-                    peer.link
-                        .send_tlp_deferred(Direction::Downstream, TlpType::MRd64, 0, down)
-                }
-                P2pRoute::RootComplex { host } => {
-                    let rc = host.process_peer_tlp(req.arrival, self.domain, chunk.addr, chunk.len);
-                    peer.link
-                        .send_tlp_deferred(Direction::Downstream, TlpType::MRd64, 0, rc)
-                }
-            };
-            let ready = at_peer + bar_read;
-            // Completions: split by the peer's MPS/RCB, serialised on
-            // the peer's upstream wire (chained manually — deferred
-            // sends are debt-accounted but not FIFO-ratcheted).
-            let mut start = ready;
-            let mut last = ready;
-            for cpl in split::completion_chunks(chunk.addr, chunk.len, peer_cfg.mps, peer_cfg.rcb) {
-                let t =
-                    peer.link
-                        .send_tlp_deferred(Direction::Upstream, TlpType::CplD, cpl.len, start);
-                start = t.saturating_sub(peer_prop);
-                let back = match &mut route {
-                    P2pRoute::Switch {
-                        switch,
-                        src_port,
-                        dst_port,
-                    }
-                    | P2pRoute::AcsRedirect {
-                        switch,
-                        src_port,
-                        dst_port,
-                        ..
-                    } => switch.forward_peer(*dst_port, *src_port, TlpType::CplD, cpl.len, t),
-                    // Flat: the completion traverses the root complex
-                    // port logic; the request already paid the RC
-                    // pipe, so only wire time is charged here.
-                    P2pRoute::RootComplex { .. } => t,
-                };
-                last = last.max(self.link.send_tlp_deferred(
-                    Direction::Downstream,
-                    TlpType::CplD,
-                    cpl.len,
-                    back,
-                ));
-            }
-            self.read_tags.release_at(last);
-            data_done = data_done.max(last);
-        }
-        let done = data_done + self.dev.internal_copy(len) + self.dev.dma_complete_overhead;
-        self.workers.release_at(done);
-        self.p2p_reads += 1;
-        DmaResult {
-            issued,
-            done,
-            absorbed: done,
-        }
-    }
-
     /// Raises an MSI/MSI-X interrupt: a 4-byte posted memory write of
-    /// the message data to the vector's address (`buf`/`offset` stands
-    /// in for the interrupt controller's doorstep — Eq. 1 accounts it
-    /// as one `MWr` of 4 B upstream). The write serialises on the same
-    /// upstream wire and posted-credit gate as packet data, so under
-    /// load an interrupt *costs* bandwidth, exactly as §3 budgets.
-    /// Returns when the root complex absorbs the message — the instant
-    /// the interrupt is visible to the CPU's interrupt controller.
-    pub fn msi(
-        &mut self,
-        host: &mut HostSystem,
-        want: SimTime,
-        buf: &HostBuffer,
-        offset: u64,
-    ) -> SimTime {
+    /// the message data to `addr` in `target` (the interrupt
+    /// controller's doorstep — Eq. 1 accounts it as one `MWr` of 4 B
+    /// upstream). Returns when the target absorbs the message.
+    pub(crate) fn msi(&mut self, mut target: Target<'_>, want: SimTime, addr: u64) -> SimTime {
         // MSI messages come from the device's interrupt block, not a
         // descriptor-driven worker: no worker slot, but the issue port
         // and posted machinery are shared with the data path.
-        let (_, absorbed) =
-            self.write_inner_via(host, None, want, buf, offset, 4, DmaPath::DmaEngine);
+        let (_, absorbed) = self.write_inner(&mut target, want, addr, 4, DmaPath::DmaEngine);
         self.msi_writes += 1;
         absorbed
     }
@@ -944,42 +845,50 @@ impl DeviceEngine {
         }
 
         let mut gates = CounterGroup::new("device.gates");
-        for (prefix, gate) in [
-            ("workers", &self.workers),
-            ("read_tags", &self.read_tags),
-            ("posted_credits", &self.posted_credits),
-            ("nonposted_credits", &self.nonposted_credits),
-            ("cmdif_slots", &self.cmdif_slots),
-        ] {
-            // Names must be 'static for CounterGroup: one literal per
-            // gate/metric pair.
-            let (a, s, w): (&'static str, &'static str, &'static str) = match prefix {
-                "workers" => ("workers_acquires", "workers_stalls", "workers_wait_ns"),
-                "read_tags" => (
+        // CounterGroup names are 'static: one literal per gate/metric
+        // pair.
+        for (gate, [acquires, stalls, wait_ns]) in [
+            (
+                &self.workers,
+                ["workers_acquires", "workers_stalls", "workers_wait_ns"],
+            ),
+            (
+                &self.read_tags,
+                [
                     "read_tags_acquires",
                     "read_tags_stalls",
                     "read_tags_wait_ns",
-                ),
-                "posted_credits" => (
+                ],
+            ),
+            (
+                &self.posted_credits,
+                [
                     "posted_credits_acquires",
                     "posted_credits_stalls",
                     "posted_credits_wait_ns",
-                ),
-                "nonposted_credits" => (
+                ],
+            ),
+            (
+                &self.nonposted_credits,
+                [
                     "nonposted_credits_acquires",
                     "nonposted_credits_stalls",
                     "nonposted_credits_wait_ns",
-                ),
-                _ => (
+                ],
+            ),
+            (
+                &self.cmdif_slots,
+                [
                     "cmdif_slots_acquires",
                     "cmdif_slots_stalls",
                     "cmdif_slots_wait_ns",
-                ),
-            };
+                ],
+            ),
+        ] {
             gates
-                .push(a, gate.acquires())
-                .push(s, gate.stalls())
-                .push(w, gate.total_wait().as_ns_f64() as u64);
+                .push(acquires, gate.acquires())
+                .push(stalls, gate.stalls())
+                .push(wait_ns, gate.total_wait().as_ns_f64() as u64);
         }
         let mut groups = vec![engine, gates];
         if self.faults_active {
@@ -1063,11 +972,14 @@ impl Platform {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
+        let target = Target::host(&mut self.host, buf, None);
         self.engine
-            .dma_read(&mut self.host, want, buf, offset, len, path)
+            .dma_read(target, want, buf.addr(offset), len, path)
     }
 
-    /// Issues a DMA write (see [`DeviceEngine::dma_write`]).
+    /// Issues a DMA write. `done` is when the device sees the write
+    /// completed (data handed to the wire); host absorption is later
+    /// and only observable through ordering and credit back-pressure.
     pub fn dma_write(
         &mut self,
         want: SimTime,
@@ -1076,11 +988,14 @@ impl Platform {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
+        let target = Target::host(&mut self.host, buf, None);
         self.engine
-            .dma_write(&mut self.host, want, buf, offset, len, path)
+            .dma_write(target, want, buf.addr(offset), len, path)
     }
 
-    /// The `LAT_WRRD` primitive (see [`DeviceEngine::dma_write_read`]).
+    /// The `LAT_WRRD` primitive (§4.1): a DMA write immediately
+    /// followed by a DMA read of the same address; PCIe ordering makes
+    /// the read observe the write's cost.
     pub fn dma_write_read(
         &mut self,
         want: SimTime,
@@ -1089,8 +1004,9 @@ impl Platform {
         len: u32,
         path: DmaPath,
     ) -> DmaResult {
+        let target = Target::host(&mut self.host, buf, None);
         self.engine
-            .dma_write_read(&mut self.host, want, buf, offset, len, path)
+            .dma_write_read(target, want, buf.addr(offset), len, path)
     }
 
     /// Driver-initiated PIO write (doorbell).
@@ -1098,9 +1014,17 @@ impl Platform {
         self.engine.pio_write(now, len)
     }
 
-    /// Raises an MSI/MSI-X interrupt (see [`DeviceEngine::msi`]).
+    /// Raises an MSI/MSI-X interrupt: a 4-byte posted memory write of
+    /// the message data to the vector's address (`buf`/`offset` stands
+    /// in for the interrupt controller's doorstep — Eq. 1 accounts it
+    /// as one `MWr` of 4 B upstream). The write serialises on the same
+    /// upstream wire and posted-credit gate as packet data, so under
+    /// load an interrupt *costs* bandwidth, exactly as §3 budgets.
+    /// Returns when the root complex absorbs the message — the instant
+    /// the interrupt is visible to the CPU's interrupt controller.
     pub fn msi(&mut self, want: SimTime, buf: &HostBuffer, offset: u64) -> SimTime {
-        self.engine.msi(&mut self.host, want, buf, offset)
+        let target = Target::host(&mut self.host, buf, None);
+        self.engine.msi(target, want, buf.addr(offset))
     }
 
     /// Configuration-space read (see [`DeviceEngine::cfg_read`]).

@@ -429,7 +429,8 @@ impl LlcCache {
     }
 
     /// Bulk CPU-side warm of the line range `[start_line, end_line]`
-    /// (inclusive, in units of 64 B lines, `start_line <= end_line`),
+    /// (inclusive, in units of 64 B lines; a reversed range,
+    /// `end_line < start_line`, is empty and warms nothing),
     /// equivalent to calling [`LlcCache::host_touch`] once per line in
     /// ascending order.
     ///
@@ -444,7 +445,10 @@ impl LlcCache {
     /// `min(lines, n_sets)` of them, so a short range costs what its
     /// lines do.
     pub fn warm_lines(&mut self, start_line: u64, end_line: u64, dirty: bool) {
-        let total = end_line - start_line + 1;
+        let Some(span) = end_line.checked_sub(start_line) else {
+            return;
+        };
+        let total = span + 1;
         let n_sets = self.sets.len() as u64;
         let ways = self.ways;
         // Tags grow with lines, so the last line's fitting covers all.
@@ -768,6 +772,32 @@ mod tests {
             }
             assert_eq!(fast.stats(), slow.stats());
         }
+    }
+
+    /// A reversed range is empty: on an occupied cache it changes no
+    /// statistic, no residency and no LRU order.
+    #[test]
+    fn reversed_warm_range_is_a_no_op() {
+        let mut c = small();
+        for i in 0..1024u64 {
+            c.dma_write(i * 64 * 3);
+            c.host_touch(i * 64 * 5, i % 2 == 0);
+        }
+        let mut before = c.clone();
+        c.warm_lines(10, 9, true);
+        c.warm_lines(u64::MAX, 0, false);
+        assert_eq!(c.stats(), before.stats());
+        for line in 0..6 * 1024 {
+            assert_eq!(
+                c.contains(line * LINE),
+                before.contains(line * LINE),
+                "line {line}"
+            );
+        }
+        for i in 0..1024u64 {
+            assert_eq!(c.dma_write(i * 64 * 7), before.dma_write(i * 64 * 7));
+        }
+        assert_eq!(c.stats(), before.stats());
     }
 
     #[test]

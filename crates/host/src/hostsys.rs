@@ -268,21 +268,10 @@ impl HostSystem {
     }
 
     /// Serves an inbound memory-read TLP for `[addr, addr+len)` within
-    /// `buf`. Returns the instant the read data is available at the
-    /// root complex (ready to be serialised downstream).
+    /// `buf`, translated in IOMMU protection `domain` (one per device).
+    /// Returns the instant the read data is available at the root
+    /// complex (ready to be serialised downstream).
     pub fn process_read_tlp(
-        &mut self,
-        now: SimTime,
-        buf: &HostBuffer,
-        addr: u64,
-        len: u32,
-    ) -> SimTime {
-        self.process_read_tlp_in(now, 0, buf, addr, len)
-    }
-
-    /// [`HostSystem::process_read_tlp`] with an explicit IOMMU
-    /// protection domain (multi-device setups: one domain per device).
-    pub fn process_read_tlp_in(
         &mut self,
         now: SimTime,
         domain: u32,
@@ -354,22 +343,11 @@ impl HostSystem {
         done
     }
 
-    /// Absorbs an inbound memory-write TLP. Returns the instant the
-    /// write is absorbed (its flow-control credits can be released and
-    /// later reads are ordered after it).
+    /// Absorbs an inbound memory-write TLP, translated in IOMMU
+    /// protection `domain`. Returns the instant the write is absorbed
+    /// (its flow-control credits can be released and later reads are
+    /// ordered after it).
     pub fn process_write_tlp(
-        &mut self,
-        now: SimTime,
-        buf: &HostBuffer,
-        addr: u64,
-        len: u32,
-    ) -> SimTime {
-        self.process_write_tlp_in(now, 0, buf, addr, len)
-    }
-
-    /// [`HostSystem::process_write_tlp`] with an explicit IOMMU
-    /// protection domain.
-    pub fn process_write_tlp_in(
         &mut self,
         now: SimTime,
         domain: u32,
@@ -500,7 +478,7 @@ mod tests {
         let mut best = f64::MAX;
         for _ in 0..64 {
             *now += SimTime::from_us(10);
-            let done = h.process_read_tlp(*now, buf, addr, len);
+            let done = h.process_read_tlp(*now, 0, buf, addr, len);
             best = best.min((done - *now).as_ns_f64());
         }
         best
@@ -559,7 +537,7 @@ mod tests {
         // 3ns service gap -> last completes ≥ 30us after the first.
         let mut last = SimTime::ZERO;
         for _ in 0..10_000 {
-            last = last.max(h.process_read_tlp(SimTime::ZERO, &buf, buf.base(), 64));
+            last = last.max(h.process_read_tlp(SimTime::ZERO, 0, &buf, buf.base(), 64));
         }
         assert!(last >= SimTime::from_ns(3 * 9_999));
     }
@@ -567,17 +545,17 @@ mod tests {
     #[test]
     fn reads_do_not_pass_writes() {
         let (mut h, buf) = host();
-        let w = h.process_write_tlp(SimTime::ZERO, &buf, buf.base(), 64);
-        let r = h.process_read_tlp(SimTime::ZERO, &buf, buf.base(), 64);
+        let w = h.process_write_tlp(SimTime::ZERO, 0, &buf, buf.base(), 64);
+        let r = h.process_read_tlp(SimTime::ZERO, 0, &buf, buf.base(), 64);
         assert!(r > w, "read {r} must complete after the write {w}");
     }
 
     #[test]
     fn ddio_write_then_read_hits_cache() {
         let (mut h, buf) = host();
-        h.process_write_tlp(SimTime::ZERO, &buf, buf.base(), 64);
+        h.process_write_tlp(SimTime::ZERO, 0, &buf, buf.base(), 64);
         let t = SimTime::from_us(1);
-        let done = h.process_read_tlp(t, &buf, buf.base(), 64);
+        let done = h.process_read_tlp(t, 0, &buf, buf.base(), 64);
         let c = h.cache_stats(0);
         assert_eq!(
             c.read_hits, 1,
@@ -611,7 +589,7 @@ mod tests {
         for i in 0..256u64 {
             now += SimTime::from_us(10);
             let a = buf.base() + i * 4096;
-            let done = h.process_read_tlp(now, &buf, a, 64);
+            let done = h.process_read_tlp(now, 0, &buf, a, 64);
             miss = miss.min((done - now).as_ns_f64());
         }
         assert_eq!(h.iommu().unwrap().stats().tlb_hits, 0);
@@ -631,7 +609,7 @@ mod tests {
         let mut alloc = BufferAllocator::default_layout();
         let buf = alloc.alloc(1 << 20, 0);
         let mut h = HostSystem::new(preset, 11);
-        let w = h.process_write_tlp(SimTime::ZERO, &buf, buf.base(), 64);
+        let w = h.process_write_tlp(SimTime::ZERO, 0, &buf, buf.base(), 64);
         // Uncached write: pays DRAM extra latency.
         assert!(w.as_ns_f64() > 70.0);
         let (_, written) = h.dram_traffic(0);
@@ -642,8 +620,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let (mut h, buf) = host();
-        h.process_read_tlp(SimTime::ZERO, &buf, buf.base(), 256);
-        h.process_write_tlp(SimTime::ZERO, &buf, buf.base(), 128);
+        h.process_read_tlp(SimTime::ZERO, 0, &buf, buf.base(), 256);
+        h.process_write_tlp(SimTime::ZERO, 0, &buf, buf.base(), 128);
         let s = h.stats();
         assert_eq!(s.read_tlps, 1);
         assert_eq!(s.write_tlps, 1);
@@ -667,7 +645,7 @@ mod tests {
         let n = (32 << 20) / step;
         for i in 0..n {
             t += SimTime::from_us(1);
-            h.process_read_tlp(t, &buf, buf.base() + i * step, 64);
+            h.process_read_tlp(t, 0, &buf, buf.base() + i * step, 64);
         }
         let cs = h.cache_stats(0);
         misses += cs.read_misses;

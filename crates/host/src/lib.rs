@@ -12,8 +12,11 @@
 //! The entry point is [`HostSystem`], built from a [`presets`] entry
 //! (the systems of the paper's Table 1). The device layer calls
 //! [`HostSystem::process_read_tlp`] / [`HostSystem::process_write_tlp`]
-//! for every memory-request TLP and gets back the time the request's
-//! data is ready (reads) or absorbed (writes).
+//! for every memory-request TLP, in the issuing device's IOMMU
+//! protection domain, and gets back the time the request's data is
+//! ready (reads) or absorbed (writes); peer-to-peer requests that
+//! route through the root complex go to
+//! [`HostSystem::process_peer_tlp`] instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

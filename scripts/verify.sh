@@ -51,13 +51,14 @@ fi
 # checks as they run. Each must exit 0; the suite runs at pool widths
 # 1, 2 and the default. ext_flows also runs in full mode, so its
 # million-flow checks (fairness, the knee, monotone drops, threads:1 ≡
-# threads:4) hold at the generator's own scale. table1_systems checks
-# nothing, so it is left out. $bin is split on purpose: every word is
-# a plain token.
+# threads:4) hold at the generator's own scale, and so does ext_rpc,
+# whose 200 000 RPCs per point cross the peer-write path of the
+# device datapath. table1_systems checks nothing, so it is left out.
+# $bin is split on purpose: every word is a plain token.
 for bin in repro_report fig1_nic_models fig2_loopback_latency fig4_baseline_bw \
     fig5_latency_size fig6_latency_cdf fig7_cache_ddio fig8_numa fig9_iommu table2_findings \
     ext_multidevice ext_linkgen ext_offsets ext_ddio_ways ext_topology ext_p2p ext_faults \
-    "ext_drivers --quick" "ext_flows --quick" ext_flows "ext_rpc --quick" suite; do
+    "ext_drivers --quick" "ext_flows --quick" ext_flows "ext_rpc --quick" ext_rpc suite; do
     echo "==> $bin (its asserted checks must hold)"
     ./target/release/$bin >/dev/null
 done
