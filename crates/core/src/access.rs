@@ -22,10 +22,18 @@ pub struct AccessSequence {
 impl AccessSequence {
     /// Builds the sequence for `params`, seeded for reproducibility.
     pub fn new(params: &BenchParams, seed: u64) -> Self {
+        Self::with_buffer(params, seed, Vec::new())
+    }
+
+    /// [`AccessSequence::new`] over a permutation buffer that an
+    /// earlier sequence gave back ([`AccessSequence::into_buffer`]):
+    /// only its capacity is reused, so the stream is `new`'s.
+    pub(crate) fn with_buffer(params: &BenchParams, seed: u64, mut order: Vec<u32>) -> Self {
         params.validate().expect("invalid bench params");
         let units = params.units();
         assert!(units <= u32::MAX as u64, "window too large to enumerate");
-        let mut order: Vec<u32> = (0..units as u32).collect();
+        order.clear();
+        order.extend(0..units as u32);
         let mut rng = SplitMix64::new(seed);
         if params.pattern == Pattern::Random {
             rng.shuffle(&mut order);
@@ -56,6 +64,17 @@ impl AccessSequence {
     /// Number of units per pass.
     pub fn units(&self) -> usize {
         self.order.len()
+    }
+
+    /// Consumes the sequence, giving back its permutation buffer for
+    /// [`AccessSequence::with_buffer`].
+    pub(crate) fn into_buffer(self) -> Vec<u32> {
+        self.order
+    }
+
+    /// Capacity of the permutation buffer, in units.
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.order.capacity()
     }
 }
 

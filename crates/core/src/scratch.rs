@@ -6,8 +6,8 @@
 //! (generating the access-order stream and allocating the sample
 //! journal) and the *host-side* LLC set records — a 15 MiB cache is
 //! 12 288 records, 1.5 MiB, allocated and written per platform. A
-//! [`BenchScratch`] owns the driver buffers, a small `OrderCache` of
-//! memoised access sequences, and a [`CacheStorage`] pool of retired
+//! [`BenchScratch`] owns the driver buffers, an `OrderCache` of
+//! memoised access-order offsets, and a [`CacheStorage`] pool of retired
 //! record buffers; each pool worker keeps one and threads it through
 //! every test it executes, so after the largest test in a worker's
 //! share has run, that worker allocates nothing more. Reuse recycles
@@ -23,20 +23,19 @@ use crate::params::{BenchParams, Pattern};
 use pcie_host::cache::CacheStorage;
 
 /// Entries retained by [`OrderCache`] before least-recently-used
-/// eviction. The grids that matter (figure 7's latency/bandwidth
-/// sweeps) cycle through at most four geometry/seed combinations per
-/// window, so eight covers them with slack while bounding memory to a
-/// few MiB of cached offsets.
-const ORDER_CACHE_CAP: usize = 8;
+/// eviction. LRU misses on every lookup of a cycle longer than the
+/// cap, so the cap covers `dma_sweep`'s longest one: 46 keys per
+/// IOMMU pass, where one window's 14 recur in each of its three cache
+/// states. An entry keeps only its offsets, at most `n` × 8 bytes.
+const ORDER_CACHE_CAP: usize = 64;
+
+/// Everything an offset stream depends on: window geometry (`window`,
+/// `transfer`, `offset` determine unit size and count), access
+/// pattern, and RNG seed.
+type OrderKey = (u64, u32, u32, Pattern, u64);
 
 struct OrderEntry {
-    /// Everything the offset stream depends on: window geometry
-    /// (`window`, `transfer`, `offset` determine unit size and count),
-    /// access pattern, and RNG seed.
-    key: (u64, u32, u32, Pattern, u64),
-    /// The live generator, kept so a longer request later can extend
-    /// `offsets` from where the stream left off.
-    seq: AccessSequence,
+    key: OrderKey,
     /// Offsets drawn so far, in draw order.
     offsets: Vec<u64>,
     /// LRU clock value of the last hit.
@@ -54,12 +53,28 @@ struct OrderEntry {
 /// stream. Caching the drawn prefix replaces a Fisher–Yates shuffle
 /// plus per-draw index arithmetic with a slice replay, and is exact
 /// by construction: on a miss (including re-generation after LRU
-/// eviction) the entry is rebuilt from a fresh `AccessSequence` with
+/// eviction) the entry is redrawn from a fresh `AccessSequence` with
 /// the same key, which yields the same stream.
+///
+/// Entries keep offsets only. The one live generator is the last one
+/// drawn from, so a longer request for its key extends that entry
+/// incrementally; any other longer request redraws its entry from the
+/// start. Each new generator takes over the previous one's permutation
+/// buffer, so the cache holds one permutation, sized to the largest
+/// window it has seen (4 MiB at 64 MiB in 64 B units), however many
+/// entries it keeps.
 #[derive(Default)]
 pub(crate) struct OrderCache {
     entries: Vec<OrderEntry>,
+    /// The live generator; its permutation buffer is recycled into the
+    /// next one.
+    seq: Option<AccessSequence>,
+    /// The key of the entry whose offsets are exactly `seq`'s draws,
+    /// if that entry is still cached.
+    seq_key: Option<OrderKey>,
     clock: u64,
+    /// Offsets drawn from generators so far.
+    draws: u64,
 }
 
 impl std::fmt::Debug for OrderCache {
@@ -67,6 +82,8 @@ impl std::fmt::Debug for OrderCache {
         f.debug_struct("OrderCache")
             .field("entries", &self.entries.len())
             .field("cached_offsets", &self.cached_offsets())
+            .field("permutation_units", &self.permutation_units())
+            .field("draws", &self.draws)
             .finish()
     }
 }
@@ -94,11 +111,13 @@ impl OrderCache {
                         .min_by_key(|(_, e)| e.used)
                         .map(|(i, _)| i)
                         .expect("cache non-empty at capacity");
-                    self.entries.swap_remove(lru);
+                    let evicted = self.entries.swap_remove(lru);
+                    if self.seq_key == Some(evicted.key) {
+                        self.seq_key = None;
+                    }
                 }
                 self.entries.push(OrderEntry {
                     key,
-                    seq: AccessSequence::new(params, seed),
                     offsets: Vec::new(),
                     used: 0,
                 });
@@ -108,9 +127,23 @@ impl OrderCache {
         let e = &mut self.entries[idx];
         e.used = self.clock;
         if e.offsets.len() < n {
+            let seq = match &mut self.seq {
+                Some(seq) if self.seq_key == Some(key) => seq,
+                live => {
+                    let buf = live.take().map(AccessSequence::into_buffer);
+                    e.offsets.clear();
+                    self.seq_key = Some(key);
+                    live.insert(AccessSequence::with_buffer(
+                        params,
+                        seed,
+                        buf.unwrap_or_default(),
+                    ))
+                }
+            };
             e.offsets.reserve(n - e.offsets.len());
+            self.draws += (n - e.offsets.len()) as u64;
             while e.offsets.len() < n {
-                e.offsets.push(e.seq.next_offset());
+                e.offsets.push(seq.next_offset());
             }
         }
         &e.offsets[..n]
@@ -119,6 +152,11 @@ impl OrderCache {
     /// Total offsets held across entries (observability for tests).
     fn cached_offsets(&self) -> usize {
         self.entries.iter().map(|e| e.offsets.capacity()).sum()
+    }
+
+    /// Units the permutation buffer holds room for.
+    fn permutation_units(&self) -> usize {
+        self.seq.as_ref().map_or(0, AccessSequence::buffer_capacity)
     }
 }
 
@@ -140,12 +178,13 @@ impl BenchScratch {
         Self::default()
     }
 
-    /// Current capacities `(cached order offsets, samples, pooled
-    /// cache buffers)` — observability for tests asserting that reuse
-    /// actually sticks.
-    pub fn capacities(&self) -> (usize, usize, usize) {
+    /// Current capacities `(cached order offsets, order permutation
+    /// units, samples, pooled cache buffers)` — observability for
+    /// tests asserting that reuse actually sticks.
+    pub fn capacities(&self) -> (usize, usize, usize, usize) {
         (
             self.orders.cached_offsets(),
+            self.orders.permutation_units(),
             self.samples.capacity(),
             self.cache_pool.pooled(),
         )
@@ -173,7 +212,7 @@ mod tests {
     #[test]
     fn starts_empty_and_reports_capacity() {
         let s = BenchScratch::new();
-        assert_eq!(s.capacities(), (0, 0, 0));
+        assert_eq!(s.capacities(), (0, 0, 0, 0));
     }
 
     #[test]
@@ -218,7 +257,72 @@ mod tests {
             !s.orders.entries.iter().any(|e| e.key.4 == 1),
             "oldest entry evicted"
         );
-        // A re-request regenerates the stream bit-identically.
-        assert_eq!(s.orders.offsets(&first, 1, 128), &before[..]);
+        // A longer re-request draws the fresh stream, past its first
+        // reshuffle; so does a longer request for a cached key that is
+        // no longer the live one.
+        let expect = fresh_draws(&first, 1, 400);
+        assert_eq!(s.orders.offsets(&first, 1, 300), &expect[..300]);
+        assert_eq!(&expect[..128], &before[..]);
+        s.orders.offsets(&first, 2, 8);
+        assert_eq!(s.orders.offsets(&first, 1, 400), &expect[..]);
+    }
+
+    #[test]
+    fn a_64_mib_window_keeps_its_offsets_and_one_permutation() {
+        let mut s = BenchScratch::new();
+        let big = params(64 << 20, 64, Pattern::Random);
+        let units = big.units() as usize;
+        assert_eq!(units, 1 << 20);
+        assert_eq!(
+            s.orders.offsets(&big, 3, 1_000),
+            &fresh_draws(&big, 3, 1_000)[..]
+        );
+        assert_eq!(s.capacities(), (1_000, units, 0, 0));
+        // A second window of the same size and a small one recycle the
+        // one permutation buffer; each entry keeps its offsets alone.
+        let small = params(64 << 10, 64, Pattern::Random);
+        s.orders.offsets(&big, 4, 1_000);
+        s.orders.offsets(&small, 3, 500);
+        assert_eq!(s.capacities(), (2_500, units, 0, 0));
+        assert_eq!(
+            s.orders.offsets(&big, 3, 1_000),
+            &fresh_draws(&big, 3, 1_000)[..]
+        );
+    }
+
+    #[test]
+    fn a_dma_sweep_window_cycle_draws_only_on_its_first_pass() {
+        use crate::params::CacheState;
+        use crate::setup::BenchSetup;
+        use crate::suite::SuiteConfig;
+        // One window of `dma_sweep`'s grid: 4 latency and 3 bandwidth
+        // sizes at offsets 0 and 1 are 14 keys, met once per cache
+        // state. Transaction counts do not enter the key.
+        let grid = SuiteConfig {
+            lat_sizes: vec![8, 64, 512, 2048],
+            bw_sizes: vec![64, 256, 2048],
+            windows: vec![64 << 10],
+            states: vec![
+                CacheState::Cold,
+                CacheState::HostWarm,
+                CacheState::DeviceWarm,
+            ],
+            offsets: vec![0, 1],
+            patterns: vec![Pattern::Random],
+            n_lat: 4,
+            n_bw: 4,
+        };
+        let jobs = grid.jobs();
+        let setup = BenchSetup::nfp6000_hsw();
+        let mut s = BenchScratch::new();
+        let mut draws = Vec::new();
+        for pass in jobs.chunks(jobs.len() / 3) {
+            for job in pass {
+                job.run(&setup, &mut s);
+            }
+            draws.push(s.orders.draws);
+        }
+        assert_eq!(s.orders.entries.len(), 14);
+        assert_eq!(draws, [14 * 4; 3], "draws after each cache state");
     }
 }

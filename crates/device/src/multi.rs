@@ -551,8 +551,9 @@ mod tests {
     #[test]
     fn peer_dmas_meet_drops_and_poison_like_host_dmas() {
         use pcie_fault::{DirFaults, FaultPlan};
-        // Every link drops its 3rd upstream TLP and poisons its 5th;
-        // on device 0 those are peer requests.
+        // Only device 0's link is faulty: it drops its 3rd upstream
+        // TLP and poisons its 5th, both peer requests. The uplink's
+        // faults are `uplink_drops_and_poison_reach_the_dma`'s.
         let plan = |max_read_retries| FaultPlan {
             upstream: DirFaults {
                 drop_nth: Some(3),
@@ -574,7 +575,7 @@ mod tests {
                     HostSystem::new(HostPreset::nfp6000_hsw(), 11),
                     if acs { sw.with_acs_redirect() } else { sw },
                 );
-                p.set_fault_plan(&plan, 1);
+                p.engines[0].set_fault_plan(&plan, 1);
                 p
             };
 
@@ -619,6 +620,127 @@ mod tests {
             }
             let e = *p.engine(0).device_errors();
             assert_eq!((e.read_aborts, e.read_retries), (2, 0), "acs {acs}");
+        }
+    }
+
+    /// A TLP dropped or poisoned on the switch's shared uplink is lost
+    /// to its DMA as one lost on the device's own link is: the root
+    /// complex (or the peer) never absorbs it, and device 0's AER
+    /// counters add up its link's and the uplink's fault counters.
+    #[test]
+    fn uplink_drops_and_poison_reach_the_dma() {
+        use pcie_fault::{DirFaults, FaultCounters, FaultPlan};
+        // Every link, the uplink included, drops its 3rd TLP and
+        // poisons its 5th in each direction.
+        let faults = DirFaults {
+            drop_nth: Some(3),
+            poison_nth: Some(5),
+            ..DirFaults::none()
+        };
+        let plan = FaultPlan {
+            upstream: faults,
+            downstream: faults,
+            // Enough for all eight faults to land on one read.
+            max_read_retries: 8,
+            ..FaultPlan::none()
+        };
+        let lost = |c: &FaultCounters| c.dropped + c.poisoned;
+        let gap = SimTime::from_us(50);
+        let buf = BufferAllocator::default_layout().alloc(1 << 20, 0);
+        for acs in [false, true] {
+            let pair = || {
+                let sw = SwitchConfig::gen3_x8();
+                let mut p = MultiPlatform::homogeneous_switched(
+                    2,
+                    DeviceParams::nfp6000(),
+                    LinkConfig::gen3_x8(),
+                    LinkTiming::default(),
+                    HostSystem::new(HostPreset::nfp6000_hsw(), 11),
+                    if acs { sw.with_acs_redirect() } else { sw },
+                );
+                p.set_fault_plan(&plan, 1);
+                p
+            };
+            // Device 0's link's and the uplink's counters in `dir`.
+            let counters = |p: &MultiPlatform, dir| {
+                let dev = p.engine(0).link().fault_counters(dir);
+                let up = p.switch().unwrap().uplink().fault_counters(dir);
+                (*dev.expect("plan installed"), *up.expect("plan installed"))
+            };
+
+            // Eight one-TLP host writes: the uplink loses two of the
+            // six the device's link delivers.
+            let mut p = pair();
+            for i in 0..8 {
+                p.dma_write(0, gap.times(i), &buf, i * 256, 256, DmaPath::DmaEngine);
+            }
+            let e = *p.engine(0).device_errors();
+            let (dev, up) = counters(&p, Direction::Upstream);
+            assert_eq!((up.dropped, up.poisoned), (1, 1), "acs {acs}");
+            assert_eq!(e.dropped_writes, dev.dropped + up.dropped, "acs {acs}");
+            assert_eq!(e.poisoned_writes, dev.poisoned + up.poisoned, "acs {acs}");
+            assert_eq!(p.host.stats().write_tlps, 8 - lost(&dev) - lost(&up));
+
+            // Eight one-completion host reads: a request lost on either
+            // hop, or a completion dropped on either, waits out the
+            // completion timer; a poisoned completion is re-issued.
+            let mut p = pair();
+            for i in 0..8 {
+                p.dma_read(0, gap.times(i), &buf, i * 64, 64, DmaPath::DmaEngine);
+            }
+            let e = *p.engine(0).device_errors();
+            let (dev_up, up_up) = counters(&p, Direction::Upstream);
+            let (dev_down, up_down) = counters(&p, Direction::Downstream);
+            for c in [dev_up, up_up, dev_down, up_down] {
+                assert_eq!((c.dropped, c.poisoned), (1, 1), "acs {acs}: {c:?}");
+            }
+            assert_eq!(
+                e.completion_timeouts,
+                lost(&dev_up) + lost(&up_up) + dev_down.dropped + up_down.dropped,
+                "acs {acs}: {e:?}"
+            );
+            assert_eq!(
+                e.poisoned_completions,
+                dev_down.poisoned + up_down.poisoned,
+                "acs {acs}: {e:?}"
+            );
+            assert_eq!(e.read_aborts, 0, "acs {acs}: {e:?}");
+            let attempts = 8 + e.read_retries;
+            assert_eq!(
+                p.host.stats().read_tlps,
+                attempts - lost(&dev_up) - lost(&up_up),
+                "acs {acs}: requests that reached the root complex"
+            );
+
+            // Twelve one-TLP peer writes: under ACS redirect they cross
+            // the uplink both ways, through the root complex.
+            let mut p = pair();
+            for i in 0..12 {
+                p.p2p_write(0, 1, gap.times(i), i * 256, 256);
+            }
+            let e = *p.engine(0).device_errors();
+            let (dev, up) = counters(&p, Direction::Upstream);
+            let (_, down) = counters(&p, Direction::Downstream);
+            if acs {
+                for c in [up, down] {
+                    assert_eq!((c.dropped, c.poisoned), (1, 1), "{c:?}");
+                }
+            }
+            assert_eq!(e.dropped_writes, dev.dropped + up.dropped + down.dropped);
+            assert_eq!(
+                e.poisoned_writes,
+                dev.poisoned + up.poisoned + down.poisoned
+            );
+            let at_rc = 12 - lost(&dev) - lost(&up);
+            assert_eq!(p.host.stats().p2p_redirects, if acs { at_rc } else { 0 });
+            // A request poisoned on its way down still crosses the
+            // peer's link; the peer discards it.
+            let at_peer = p.engine(1).link().counters(Direction::Downstream).tlps;
+            assert_eq!(
+                at_peer,
+                12 - lost(&dev) - lost(&up) - down.dropped,
+                "acs {acs}"
+            );
         }
     }
 

@@ -31,6 +31,7 @@ use crate::gate::SlotGate;
 use crate::params::DeviceParams;
 use pcie_fault::{DeviceErrorCounters, FaultPlan};
 use pcie_host::{HostBuffer, HostSystem};
+use pcie_link::link::SendOutcome;
 use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::config::LinkConfig;
 use pcie_sim::{SimTime, Timeline};
@@ -130,8 +131,11 @@ impl P2pRoute<'_> {
 
     /// Carries a request for `len` bytes at `addr`, off the
     /// initiator's link at `at`, onto the peer's downstream wire as a
-    /// sporadic TLP (out-of-FIFO, bytes still accounted); returns when
-    /// it reaches the peer.
+    /// sporadic TLP (out-of-FIFO, bytes still accounted); returns its
+    /// arrival at the peer, and whether the switch's uplink dropped or
+    /// poisoned it on the way. A dropped request, and one poisoned on
+    /// its way up (the root complex discards it), stop where they were
+    /// lost, at the time the loss is observable.
     fn request(
         &mut self,
         peer: &mut Link,
@@ -140,14 +144,14 @@ impl P2pRoute<'_> {
         addr: u64,
         len: u32,
         at: SimTime,
-    ) -> SimTime {
+    ) -> SendOutcome {
         let payload = if ty.has_data() { len } else { 0 };
-        let at = match self {
+        let mut out = match self {
             P2pRoute::Switch {
                 switch,
                 src_port,
                 dst_port,
-            } => switch.forward_peer(*src_port, *dst_port, ty, payload, at),
+            } => clean(switch.forward_peer(*src_port, *dst_port, ty, payload, at)),
             P2pRoute::AcsRedirect {
                 switch,
                 src_port,
@@ -155,12 +159,20 @@ impl P2pRoute<'_> {
                 host,
             } => {
                 let up = switch.forward_up(*src_port, ty, payload, at);
-                let rc = host.process_peer_tlp(up, domain, addr, len);
-                switch.forward_down(*dst_port, ty, payload, rc)
+                if up.dropped || up.poisoned {
+                    return up;
+                }
+                let rc = host.process_peer_tlp(up.arrival, domain, addr, len);
+                let down = switch.forward_down(*dst_port, ty, payload, rc);
+                if down.dropped {
+                    return down;
+                }
+                down
             }
-            P2pRoute::RootComplex { host } => host.process_peer_tlp(at, domain, addr, len),
+            P2pRoute::RootComplex { host } => clean(host.process_peer_tlp(at, domain, addr, len)),
         };
-        peer.send_tlp_deferred(Direction::Downstream, ty, payload, at)
+        out.arrival = peer.send_tlp_deferred(Direction::Downstream, ty, payload, out.arrival);
+        out
     }
 
     /// Carries a completion of `len` bytes, off the peer's link at
@@ -223,10 +235,23 @@ struct ReadLeg {
     last_arrival: SimTime,
     /// DLL recovery time the completions spent on the device's link.
     cpl_fault: SimTime,
-    /// A completion was lost above the DLL.
-    cpl_dropped: bool,
+    /// No completion can arrive: the request was lost beyond the
+    /// device's link (dropped, or discarded poisoned), or a completion
+    /// was lost above the DLL.
+    lost: bool,
     /// A completion arrived poisoned.
     cpl_poisoned: bool,
+}
+
+/// A TLP delivered at `arrival`, with no fault on the way.
+fn clean(arrival: SimTime) -> SendOutcome {
+    SendOutcome {
+        arrival,
+        fault_delay: SimTime::ZERO,
+        replays: 0,
+        dropped: false,
+        poisoned: false,
+    }
 }
 
 impl<'a> Target<'a> {
@@ -240,22 +265,33 @@ impl<'a> Target<'a> {
     }
 
     /// Carries one MWr chunk, off the device's link at `arrival`, into
-    /// the target; returns when the target has absorbed it.
-    fn write(&mut self, domain: u32, addr: u64, len: u32, arrival: SimTime) -> SimTime {
+    /// the target. Returns when the target has absorbed it, or, if the
+    /// switch's uplink dropped or poisoned it, the outcome of that hop,
+    /// and the target never sees the chunk.
+    fn write(&mut self, domain: u32, addr: u64, len: u32, arrival: SimTime) -> SendOutcome {
         match self {
             Target::Host { host, buf, switch } => {
                 // Through a switch the TLP still has the cut-through
                 // and the shared upstream link ahead of it before the
                 // root complex sees it.
                 let rc_at = match switch {
-                    Some((sw, port)) => sw.forward_up(*port, TlpType::MWr64, len, arrival),
+                    Some((sw, port)) => {
+                        let up = sw.forward_up(*port, TlpType::MWr64, len, arrival);
+                        if up.dropped || up.poisoned {
+                            return up;
+                        }
+                        up.arrival
+                    }
                     None => arrival,
                 };
-                host.process_write_tlp(rc_at, domain, buf, addr, len)
+                clean(host.process_write_tlp(rc_at, domain, buf, addr, len))
             }
             Target::Peer { peer, route } => {
-                let at = route.request(&mut peer.link, domain, TlpType::MWr64, addr, len, arrival);
-                at + route.bar_latency().1
+                let out = route.request(&mut peer.link, domain, TlpType::MWr64, addr, len, arrival);
+                if out.dropped || out.poisoned {
+                    return out;
+                }
+                clean(out.arrival + route.bar_latency().1)
             }
         }
     }
@@ -277,7 +313,13 @@ impl<'a> Target<'a> {
                 // cut-through stage and the shared upstream link; the
                 // wire stage of the telemetry attribution absorbs both.
                 let req_arrival = match switch {
-                    Some((sw, port)) => sw.forward_up(*port, TlpType::MRd64, 0, arrival),
+                    Some((sw, port)) => {
+                        let up = sw.forward_up(*port, TlpType::MRd64, 0, arrival);
+                        if up.dropped || up.poisoned {
+                            return ReadLeg::request_lost(up.arrival);
+                        }
+                        up.arrival
+                    }
                     None => arrival,
                 };
                 let ready = host.process_read_tlp(req_arrival, domain, buf, addr, len);
@@ -285,21 +327,35 @@ impl<'a> Target<'a> {
                 let cfg = *link.config();
                 for cpl in split::completion_chunks(addr, len, cfg.mps, cfg.rcb) {
                     let at = match switch {
-                        Some((sw, port)) => sw.forward_down(*port, TlpType::CplD, cpl.len, ready),
+                        Some((sw, port)) => {
+                            let down = sw.forward_down(*port, TlpType::CplD, cpl.len, ready);
+                            // A completion dropped on the uplink never
+                            // reaches the device's link; a poisoned one
+                            // travels on to the device, which discards it.
+                            leg.lost |= down.dropped;
+                            leg.cpl_poisoned |= down.poisoned;
+                            if down.dropped {
+                                continue;
+                            }
+                            down.arrival
+                        }
                         None => ready,
                     };
                     let out = link.send_tlp_ext(Direction::Downstream, TlpType::CplD, cpl.len, at);
                     leg.last_arrival = leg.last_arrival.max(out.arrival);
                     leg.cpl_fault += out.fault_delay;
-                    leg.cpl_dropped |= out.dropped;
+                    leg.lost |= out.dropped;
                     leg.cpl_poisoned |= out.poisoned;
                 }
                 leg
             }
             Target::Peer { peer, route } => {
                 let peer = &mut peer.link;
-                let at_peer = route.request(peer, domain, TlpType::MRd64, addr, len, arrival);
-                let mut leg = ReadLeg::new(at_peer, at_peer + route.bar_latency().0);
+                let req = route.request(peer, domain, TlpType::MRd64, addr, len, arrival);
+                if req.dropped || req.poisoned {
+                    return ReadLeg::request_lost(req.arrival);
+                }
+                let mut leg = ReadLeg::new(req.arrival, req.arrival + route.bar_latency().0);
                 // Completions: split by the peer's MPS/RCB, serialised
                 // on the peer's upstream wire (chained manually —
                 // deferred sends are debt-accounted but not
@@ -330,8 +386,16 @@ impl ReadLeg {
             ready,
             last_arrival: ready,
             cpl_fault: SimTime::ZERO,
-            cpl_dropped: false,
+            lost: false,
             cpl_poisoned: false,
+        }
+    }
+
+    /// A leg whose request was lost at `at`, beyond the device's link.
+    fn request_lost(at: SimTime) -> Self {
+        ReadLeg {
+            lost: true,
+            ..ReadLeg::new(at, at)
         }
     }
 }
@@ -535,9 +599,16 @@ impl DeviceEngine {
             let out = self
                 .link
                 .send_tlp_ext(Direction::Upstream, TlpType::MWr64, chunk.len, p_at);
+            let sent = out.arrival - prop; // device-side end of serialisation
+            let out = if out.dropped || out.poisoned {
+                out
+            } else {
+                target.write(self.domain, chunk.addr, chunk.len, out.arrival)
+            };
             let absorbed = if out.dropped || out.poisoned {
                 // Lost above the DLL, or delivered poisoned and
-                // discarded by the receiver: posted writes have no
+                // discarded by the receiver, on the device's link or
+                // on a switch's uplink: posted writes have no
                 // completion, so the device never learns — the data
                 // is silently gone and only the AER counters record
                 // it. The credit returns after header processing.
@@ -548,12 +619,12 @@ impl DeviceEngine {
                 }
                 out.arrival + SimTime::from_ns(20)
             } else {
-                target.write(self.domain, chunk.addr, chunk.len, out.arrival)
+                out.arrival
             };
             // Posted credits return once the target absorbs the write.
             self.posted_credits.release_at(absorbed);
             absorbed_last = absorbed_last.max(absorbed);
-            sent_last = out.arrival - prop; // device-side end of serialisation
+            sent_last = sent;
         }
         (sent_last + self.dev.dma_complete_overhead, absorbed_last)
     }
@@ -648,7 +719,7 @@ impl DeviceEngine {
                         chunk.len,
                         req.arrival,
                     );
-                    if leg.cpl_dropped {
+                    if leg.lost {
                         // A lost completion is indistinguishable from
                         // a lost request: wait out the completion
                         // timer.

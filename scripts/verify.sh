@@ -1,6 +1,7 @@
 #!/bin/sh
 # Offline verification: build, test, docs, lint, repro_report and every
-# binary that asserts a check, every recorded benchmark digest. Must
+# binary that asserts a check, each binary's output against its archive
+# under results/, every recorded benchmark digest. Must
 # pass with zero network access — the workspace has no external
 # dependencies.
 #
@@ -46,24 +47,47 @@ else
     echo "==> cargo clippy not installed; skipping lint"
 fi
 
+# prints <archive> <command...>: runs the command, which must exit 0,
+# and fails unless its output is results/<archive>.txt, `#` lines (wall
+# times and host notes among them) left out on both sides.
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+prints() {
+    archive=results/$1.txt
+    shift
+    "$@" >"$out/stdout"
+    grep -v '^#' "$out/stdout" >"$out/got" || true
+    grep -v '^#' "$archive" >"$out/want" || true
+    if ! cmp -s "$out/want" "$out/got"; then
+        echo "verify.sh: '$*' no longer prints $archive:" >&2
+        diff "$out/want" "$out/got" | head -n 20 >&2
+        exit 1
+    fi
+}
+
 # repro_report checks all 13 paper claims and exits 1 on a failed one;
 # the figure, table and extension binaries assert their paper-shape
-# checks as they run. Each must exit 0; the suite runs at pool widths
-# 1, 2 and the default. ext_flows also runs in full mode, so its
-# million-flow checks (fairness, the knee, monotone drops, threads:1 ≡
-# threads:4) hold at the generator's own scale, and so does ext_rpc,
-# whose 200 000 RPCs per point cross the peer-write path of the
-# device datapath. table1_systems checks nothing, so it is left out.
+# checks as they run. Each must exit 0 and print its archive under
+# results/ ("ext_flows --quick" prints ext_flows_quick.txt); the suite
+# runs at pool widths 1, 2 and the default, and at paper scale, whose
+# 7 992 cells run the access-order cache's eviction and regeneration
+# hardest. ext_flows also runs in full mode, so its million-flow checks
+# (fairness, the knee, monotone drops, threads:1 ≡ threads:4) hold at
+# the generator's own scale, and so does ext_rpc, whose 200 000 RPCs
+# per point cross the peer-write path of the device datapath.
+# table1_systems asserts nothing; only its archive is checked.
 # $bin is split on purpose: every word is a plain token.
 for bin in repro_report fig1_nic_models fig2_loopback_latency fig4_baseline_bw \
-    fig5_latency_size fig6_latency_cdf fig7_cache_ddio fig8_numa fig9_iommu table2_findings \
-    ext_multidevice ext_linkgen ext_offsets ext_ddio_ways ext_topology ext_p2p ext_faults \
-    "ext_drivers --quick" "ext_flows --quick" ext_flows "ext_rpc --quick" ext_rpc suite; do
-    echo "==> $bin (its asserted checks must hold)"
-    ./target/release/$bin >/dev/null
+    fig5_latency_size fig6_latency_cdf fig7_cache_ddio fig8_numa fig9_iommu table1_systems \
+    table2_findings ext_multidevice ext_linkgen ext_offsets ext_ddio_ways ext_topology ext_p2p \
+    ext_faults "ext_drivers --quick" "ext_flows --quick" ext_flows "ext_rpc --quick" ext_rpc suite; do
+    echo "==> $bin (its asserted checks must hold, its output its archive's)"
+    prints "$(echo "$bin" | sed 's/ --/_/')" ./target/release/$bin
 done
-PCIE_BENCH_THREADS=1 ./target/release/suite >/dev/null
-PCIE_BENCH_THREADS=2 ./target/release/suite >/dev/null
+prints suite env PCIE_BENCH_THREADS=1 ./target/release/suite
+prints suite env PCIE_BENCH_THREADS=2 ./target/release/suite
+echo "==> PCIE_BENCH_SUITE=paper suite (its output its archive's)"
+prints suite_paper env PCIE_BENCH_SUITE=paper ./target/release/suite
 
 # The benchmark package: its own tests, then every digest recorded in
 # simbench/golden.tsv (each workload at the default seed and seeds

@@ -14,6 +14,9 @@
 //!   fixed number of allocations (buffers growing to their working
 //!   size), whatever the length of the schedule: none per packet or
 //!   RPC.
+//! - `FlowEngine::run` and `RpcEngine::run` reserve each queue's
+//!   schedule once, so they too allocate as often for a long run as
+//!   for a short one; a `QueuedPacket` is 12 bytes.
 //! - `DriverSim::run` recycles its TX batch buffers, so only a new
 //!   peak of batches in flight, or of a batch's length, allocates.
 //! - The flow generator's state is sized once: `Rss::new` and
@@ -40,8 +43,11 @@ use pcie_bench_repro::host::cache::{CacheStorage, LlcCache, LINE};
 use pcie_bench_repro::host::{HostPreset, Iommu};
 use pcie_bench_repro::model::NicModelParams;
 use pcie_bench_repro::nic::NicSim;
+use pcie_bench_repro::par::Pool;
 use pcie_bench_repro::rpc::engine::build_platform;
-use pcie_bench_repro::rpc::{Datapath, QueuedRpc, RpcEngineConfig, RpcQueueSim};
+use pcie_bench_repro::rpc::{
+    Datapath, QueuedRpc, RpcEngine, RpcEngineConfig, RpcProfile, RpcQueueSim,
+};
 use pcie_bench_repro::sim::{EventQueue, SimTime, SplitMix64};
 
 thread_local! {
@@ -230,6 +236,57 @@ fn rpc_queue_sim_allocations_do_not_grow_with_rpcs() {
             datapath.name()
         );
     }
+}
+
+#[test]
+fn queued_packet_is_12_bytes() {
+    assert_eq!(std::mem::size_of::<QueuedPacket>(), 12);
+}
+
+#[test]
+fn flow_engine_allocations_do_not_grow_with_packets() {
+    // 8 queues and 110 000 flows, offered twice the queues' service
+    // capacity: half the packets are dropped, which keeps the run short.
+    let cfg = FlowEngineConfig::default();
+    let pps = 2.0 * cfg.service.capacity_pps() * f64::from(cfg.queues);
+    let counts: Vec<u64> = [100_000u64, 200_000, 400_000]
+        .iter()
+        .map(|&n| {
+            let mut profile = TrafficProfile::million_flow(pps, n);
+            profile.flows = 110_000;
+            let engine = FlowEngine::new(cfg.clone(), profile);
+            let (allocs, r) = allocations(|| {
+                engine.run(&Pool::sequential(), |_| {
+                    BenchSetup::nfp6000_hsw().build_nic_platform()
+                })
+            });
+            assert_eq!(r.offered(), n);
+            allocs
+        })
+        .collect();
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "allocations for 100k/200k/400k packets: {counts:?}"
+    );
+}
+
+#[test]
+fn rpc_engine_allocations_do_not_grow_with_rpcs() {
+    // 4 queues, offered four times the accelerator's capacity.
+    let cfg = RpcEngineConfig::default();
+    let counts: Vec<u64> = [100_000u64, 200_000, 400_000]
+        .iter()
+        .map(|&n| {
+            let engine = RpcEngine::new(cfg.clone(), RpcProfile::standard(320e6, n));
+            let (allocs, r) = allocations(|| engine.run(&Pool::sequential()));
+            assert_eq!(r.offered(), n);
+            allocs
+        })
+        .collect();
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "allocations for 100k/200k/400k RPCs: {counts:?}"
+    );
 }
 
 #[test]
