@@ -24,15 +24,15 @@
 //! Usage: `cargo run --release --bin ext_flows [-- --quick]`
 //! Env: `PCIE_BENCH_FLOWS` overrides the concurrent-flow target
 //! (default 1,250,000, at least 1,000,000; quick 50,000, at least 1);
-//! `PCIE_BENCH_QUEUES` overrides the RSS queue count (default 8, 4–256;
-//! quick 4, 1–256); `PCIE_BENCH_N` scales packet counts, down to four
+//! `PCIE_BENCH_QUEUES` overrides the RSS queue count (default 8, 4–128;
+//! quick 4, 1–128); `PCIE_BENCH_N` scales packet counts, down to four
 //! ring-fulls per queue; `PCIE_BENCH_THREADS` sizes the worker pool. An
 //! unparsable or out-of-range value exits 2 before the sweep starts.
 
 use pcie_bench_harness::{env_or, exit_usage, header, n_at_least};
 use pcie_flows::{
-    ArrivalProcess, FlowEngine, FlowEngineConfig, FlowLength, FlowRunReport, ServiceModel,
-    TrafficProfile,
+    ArrivalProcess, FlowEngine, FlowEngineConfig, FlowLength, FlowRunReport, RunTotals,
+    ServiceModel, TrafficProfile,
 };
 use pcie_nic::traffic::Workload;
 use pcie_par::Pool;
@@ -152,17 +152,18 @@ fn main() {
     for &frac in sweep {
         let pps = frac * capacity_mpps * 1e6;
         let r = run(&engine(flows, queues, pps, packets), &pool);
+        let (min_share, max_share) = r.share_range();
         println!(
             "# {:>6.0} {:>9.2} {:>9.2} {:>8.2} {:>9.0} {:>9.0} {:>9.0} {:>7.3} {:>7.3}",
             frac * 100.0,
-            r.offered_mpps(),
-            r.delivered_mpps(),
+            r.offered_mps(),
+            r.served_mps(),
             r.drop_rate() * 100.0,
             r.p50_ns(),
             r.p99_ns(),
             r.p999_ns(),
-            r.min_queue_share(),
-            r.max_queue_share(),
+            min_share,
+            max_share,
         );
         reports.push((frac, r));
     }
@@ -176,11 +177,10 @@ fn main() {
             "load {frac}: packet accounting must be exact"
         );
         assert_eq!(r.offered(), packets, "load {frac}: all packets offered");
+        let (min_share, max_share) = r.share_range();
         assert!(
-            r.min_queue_share() >= 0.5 * fair && r.max_queue_share() <= 2.0 * fair,
-            "load {frac}: RSS fairness out of bounds [{:.4}, {:.4}] vs fair {fair:.4}",
-            r.min_queue_share(),
-            r.max_queue_share()
+            min_share >= 0.5 * fair && max_share <= 2.0 * fair,
+            "load {frac}: RSS fairness out of bounds [{min_share:.4}, {max_share:.4}] vs fair {fair:.4}"
         );
         assert!(
             r.p50_ns() <= r.p99_ns() && r.p99_ns() <= r.p999_ns(),

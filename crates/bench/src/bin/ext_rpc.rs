@@ -31,13 +31,13 @@
 //!         [-- --path bypass|bounce|both]`
 //! Env: `PCIE_BENCH_RPC_PATH` selects the datapath when `--path` is
 //! absent; `PCIE_BENCH_QUEUES` overrides the RSS queue count (default
-//! 4; 1–256); `PCIE_BENCH_N` scales RPC counts, down to four
+//! 4; 1–128); `PCIE_BENCH_N` scales RPC counts, down to four
 //! ring-fulls per queue; `PCIE_BENCH_THREADS` sizes the worker pool.
 //! An unparsable or out-of-range value exits 2.
 
 use pcie_bench_harness::{env_or, exit_usage, header, n_at_least};
 use pcie_par::Pool;
-use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
+use pcie_rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport, RunTotals};
 use pcie_telemetry::{RpcStage, StageSet};
 
 /// Offered load points as fractions of aggregate accelerator capacity.
@@ -145,8 +145,8 @@ fn main() {
                 "# {:>6.0} {:>7} {:>9.2} {:>9.2} {:>8.2} {:>9.0} {:>9.0} {:>9.0} {:>10} {:>10}",
                 frac * 100.0,
                 path.name(),
-                r.offered_mrps(),
-                r.completed_mrps(),
+                r.offered_mps(),
+                r.served_mps(),
                 r.drop_rate() * 100.0,
                 r.p50_ns(),
                 r.p99_ns(),

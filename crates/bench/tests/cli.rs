@@ -85,6 +85,7 @@ fn bad_knobs_exit_2_naming_the_variable() {
     for (bin, args, (var, value)) in [
         (rpc, &["--quick"][..], ("PCIE_BENCH_QUEUES", "0")),
         (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "257")),
+        (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "129")),
         (rpc, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
         (rpc, &["--quick"], ("PCIE_BENCH_N", "abc")),
         (rpc, &["--quick"], ("PCIE_BENCH_N", "inf")),
@@ -97,6 +98,7 @@ fn bad_knobs_exit_2_naming_the_variable() {
         (rpc, &[], ("PCIE_BENCH_N", "0.01")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "abc")),
+        (flows, &["--quick"], ("PCIE_BENCH_QUEUES", "129")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "0")),
         (flows, &["--quick"], ("PCIE_BENCH_FLOWS", "abc")),
         (flows, &["--quick"], ("PCIE_BENCH_N", "0.001")),

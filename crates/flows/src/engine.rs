@@ -1,25 +1,17 @@
-//! The flow engine: steer, schedule, simulate, merge.
+//! The flow engine: the flow-table generator behind the serving
+//! harness ([`fanout`](crate::fanout)).
 //!
-//! [`FlowEngine::run`] compiles a [`TrafficProfile`] into per-queue
-//! packet schedules (ramp the flow table to target occupancy, draw
-//! open-loop arrivals, attribute each packet to a uniformly sampled
-//! live flow, steer by Toeplitz RSS, replace completed flows to hold
-//! concurrency), then runs one [`QueueSim`] per RX queue on a
-//! `pcie-par` pool and merges the reports in queue order.
-//!
-//! # Determinism
-//!
-//! Everything random — 4-tuples, flow lengths, arrival gaps, flow
-//! picks, packet sizes — draws from `SplitMix64` stream families
-//! derived from the one engine seed with distinct salts (per-flow
-//! 4-tuples use the O(1) indexed [`SplitMix64::stream`] members, so
-//! flow `n`'s identity does not depend on how many streams were
-//! created before it). Schedule generation is sequential; each queue
-//! simulation owns a private platform and sees only its own schedule;
-//! the merge is in fixed queue order. Pool width is therefore
-//! unobservable: `threads:1` and `threads:N` runs are bit-identical,
-//! pinned by [`FlowRunReport::fingerprint`].
+//! [`FlowEngine::run`] ramps the flow table to target occupancy, draws
+//! open-loop arrivals, attributes each packet to a uniformly sampled
+//! live flow, steers it by Toeplitz RSS onto a queue's schedule and
+//! replaces completed flows to hold concurrency; the harness runs one
+//! [`QueueSim`] per RX queue. Everything random — 4-tuples, flow
+//! lengths, arrival gaps, flow picks, packet sizes — draws from
+//! `SplitMix64` stream families derived from the one engine seed with
+//! distinct salts; flow `n`'s 4-tuple is the O(1) indexed
+//! [`SplitMix64::stream`] member `n`, independent of insertion history.
 
+use crate::fanout::{check_queues, merged, QueueRun, RunTotals, Schedules};
 use crate::profile::{ArrivalGen, TrafficProfile};
 use crate::queue::{QueueReport, QueueSim, QueuedPacket, ServiceModel};
 use crate::rss::{FlowKey, Rss, RssKey};
@@ -28,7 +20,7 @@ use pcie_device::Platform;
 use pcie_nic::traffic::SizeSampler;
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, LatencyHistogram, Snapshot, StageStats};
+use pcie_telemetry::{CounterGroup, Fnv, LatencyHistogram, Snapshot, StageStats};
 
 /// Stream-family salts for the engine's five RNG consumers (see
 /// `SplitMix64::salted`); distinct from the fault and driver salts.
@@ -79,9 +71,7 @@ impl Default for FlowEngineConfig {
 impl FlowEngineConfig {
     /// Checks the knobs are usable.
     pub fn validate(&self) -> Result<(), String> {
-        if self.queues == 0 || self.queues > 256 {
-            return Err(format!("queues {} out of range 1..=256", self.queues));
-        }
+        check_queues(self.queues)?;
         self.service.validate()
     }
 }
@@ -102,105 +92,36 @@ pub struct FlowRunReport {
     pub flows_per_queue: Vec<u64>,
     /// Time of the last generated arrival (the offered window).
     pub window: SimTime,
-    /// Virtual time to drain everything (max over queues).
-    pub elapsed: SimTime,
     /// Whole-run end-to-end latency: per-queue histograms merged
     /// bucket-by-bucket, so quantiles are exact, not approximated
     /// from per-queue quantiles.
     pub e2e: LatencyHistogram,
 }
 
+impl RunTotals for FlowRunReport {
+    type Queue = QueueReport;
+    fn queues(&self) -> &[QueueReport] {
+        &self.queues
+    }
+    fn window(&self) -> SimTime {
+        self.window
+    }
+}
+
 impl FlowRunReport {
     /// Packets offered across all queues.
     pub fn offered(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.offered).sum()
+        RunTotals::offered(self)
     }
 
     /// Packets delivered across all queues.
     pub fn delivered(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.delivered).sum()
+        self.served()
     }
 
     /// Packets dropped across all queues.
     pub fn dropped(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.dropped).sum()
-    }
-
-    /// Offered rate over the generation window, Mpps.
-    pub fn offered_mpps(&self) -> f64 {
-        let secs = self.window.as_secs_f64();
-        if secs > 0.0 {
-            self.offered() as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Delivered rate over the drain time, Mpps.
-    pub fn delivered_mpps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.delivered() as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of offered packets dropped.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped() as f64 / offered as f64
-        }
-    }
-
-    /// Queue `q`'s share of offered packets (1/queues is perfectly
-    /// fair).
-    pub fn queue_share(&self, q: usize) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            self.queues[q].counters.offered as f64 / offered as f64
-        }
-    }
-
-    /// Smallest per-queue offered share.
-    pub fn min_queue_share(&self) -> f64 {
-        (0..self.queues.len())
-            .map(|q| self.queue_share(q))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Largest per-queue offered share.
-    pub fn max_queue_share(&self) -> f64 {
-        (0..self.queues.len())
-            .map(|q| self.queue_share(q))
-            .fold(0.0, f64::max)
-    }
-
-    /// RSS imbalance: max over min per-queue offered packets (1.0 is
-    /// perfectly balanced; meaningful once every queue saw traffic).
-    pub fn imbalance(&self) -> f64 {
-        let min = self
-            .queues
-            .iter()
-            .map(|q| q.counters.offered)
-            .min()
-            .unwrap_or(0);
-        let max = self
-            .queues
-            .iter()
-            .map(|q| q.counters.offered)
-            .max()
-            .unwrap_or(0);
-        if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        }
+        RunTotals::dropped(self)
     }
 
     /// Whole-run median end-to-end latency, ns.
@@ -224,16 +145,10 @@ impl FlowRunReport {
     /// identical iff their fingerprints match — the pin used to
     /// assert pool-width invariance.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over u64 words: stable, dependency-free, and
-        // sensitive to field order (which is fixed here).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = Fnv::new();
         for q in &self.queues {
             let c = &q.counters;
-            for w in [
+            h.words([
                 u64::from(q.queue),
                 c.offered,
                 c.delivered,
@@ -246,32 +161,21 @@ impl FlowRunReport {
                 c.refills,
                 u64::from(q.ring_peak),
                 q.elapsed.as_ps(),
-            ] {
-                eat(w);
-            }
+            ]);
         }
-        for w in [
-            self.table.inserts,
-            self.table.completions,
-            self.table.packets,
-            u64::from(self.table.peak_active),
+        let t = &self.table;
+        h.words([
+            t.inserts,
+            t.completions,
+            t.packets,
+            u64::from(t.peak_active),
             u64::from(self.active_end),
             self.window.as_ps(),
-            self.elapsed.as_ps(),
-            self.e2e.count(),
-            self.e2e.overflow(),
-            self.e2e.total_ns().to_bits(),
-        ] {
-            eat(w);
-        }
-        for &(start, count) in &self.e2e.nonzero() {
-            eat(start);
-            eat(count);
-        }
-        for &n in &self.flows_per_queue {
-            eat(n);
-        }
-        h
+            self.elapsed().as_ps(),
+        ])
+        .histogram(&self.e2e)
+        .words(self.flows_per_queue.iter().copied())
+        .finish()
     }
 
     /// Telemetry snapshot: `flows.table`, `flows.rss`, `flows.stages`
@@ -292,18 +196,7 @@ impl FlowRunReport {
         let mut rss = CounterGroup::new("flows.rss");
         let fmin = self.flows_per_queue.iter().min().copied().unwrap_or(0);
         let fmax = self.flows_per_queue.iter().max().copied().unwrap_or(0);
-        let pmin = self
-            .queues
-            .iter()
-            .map(|q| q.counters.offered)
-            .min()
-            .unwrap_or(0);
-        let pmax = self
-            .queues
-            .iter()
-            .map(|q| q.counters.offered)
-            .max()
-            .unwrap_or(0);
+        let (pmin, pmax) = self.offered_range();
         rss.push("queues", self.queues.len() as u64)
             .push("flows_min_queue", fmin)
             .push("flows_max_queue", fmax)
@@ -314,10 +207,7 @@ impl FlowRunReport {
                 (pmax * 1000).checked_div(pmin).unwrap_or(u64::MAX),
             );
         snap.add_group(rss);
-        let mut stages = StageStats::new();
-        for q in &self.queues {
-            stages.merge(&q.stages);
-        }
+        let stages = merged(&self.queues, |q| &q.stages, StageStats::merge);
         snap.add_group(stages.telemetry_group("flows.stages"));
         for q in &self.queues {
             snap.add_group(q.telemetry_group());
@@ -339,19 +229,17 @@ pub struct FlowEngine {
     sizes: SizeSampler,
 }
 
-/// The steered schedule [`FlowEngine::generate`] builds, and the
+/// The steered schedules [`FlowEngine::generate`] builds, and the
 /// generator state the report reads.
-struct Schedule {
-    /// Each queue's packets, in arrival order.
-    per_queue: Vec<Vec<QueuedPacket>>,
+struct Generated {
+    /// Each queue's packets, and the last arrival.
+    schedules: Schedules<QueuedPacket>,
     /// Flows steered to each queue (inserts).
     flows_per_queue: Vec<u64>,
     /// The flow table's statistics as generation left it.
     table: FlowTableStats,
     /// Flows live in the table when generation stopped.
     active_end: u32,
-    /// Time of the last arrival.
-    window: SimTime,
 }
 
 impl FlowEngine {
@@ -396,30 +284,19 @@ impl FlowEngine {
         // queues run. Kept until after them, `flow_rx`'s peak RSS was
         // 27.0–27.5 MiB over the default seed and seeds 0–20, against
         // 26.6–27.2 MiB freed first (lower at all 22 seeds).
-        let sched = self.generate();
-        // Fan the queues across the pool; order-preserving collection
-        // plus private platforms make the merge width-invariant.
+        let gen = self.generate();
         let service = self.cfg.service;
-        let reports: Vec<QueueReport> = pool.run(sched.per_queue.len(), |q| {
-            QueueSim::new(q as u32, service, build(q as u32)).run(&sched.per_queue[q])
+        let queues = gen.schedules.run(pool, |q, packets| {
+            QueueSim::new(q, service, build(q)).run(packets)
         });
-        let mut e2e = reports[0].e2e().clone();
-        for r in &reports[1..] {
-            e2e.merge(r.e2e());
-        }
-        let elapsed = reports
-            .iter()
-            .map(|r| r.elapsed)
-            .fold(SimTime::ZERO, SimTime::max);
         FlowRunReport {
-            table: sched.table,
+            e2e: merged(&queues, QueueRun::e2e, LatencyHistogram::merge),
+            table: gen.table,
             table_capacity: self.profile.flows,
-            active_end: sched.active_end,
-            flows_per_queue: sched.flows_per_queue,
-            window: sched.window,
-            elapsed,
-            e2e,
-            queues: reports,
+            active_end: gen.active_end,
+            flows_per_queue: gen.flows_per_queue,
+            window: gen.schedules.window(),
+            queues,
         }
     }
 
@@ -434,7 +311,7 @@ impl FlowEngine {
     /// records together, and the block is then attributed one packet
     /// at a time, with every draw in the same order as without the
     /// read.
-    fn generate(&self) -> Schedule {
+    fn generate(&self) -> Generated {
         let seed = self.cfg.seed;
         let nq = self.cfg.queues as usize;
         let mut table = FlowTable::with_capacity(self.profile.flows as usize);
@@ -466,10 +343,7 @@ impl FlowEngine {
         );
         let mut pick_rng = SplitMix64::salted(seed, salt::PICK);
         let mut size_rng = SplitMix64::salted(seed, salt::SIZE);
-        let reserve = self.rss.queue_reserve(self.profile.packets);
-        let mut per_queue: Vec<Vec<QueuedPacket>> =
-            (0..nq).map(|_| Vec::with_capacity(reserve)).collect();
-        let mut window = SimTime::ZERO;
+        let mut schedules = Schedules::new(&self.rss, self.profile.packets);
         let mut ahead = [0u32; PICK_BLOCK];
         let mut left = self.profile.packets;
         while left > 0 {
@@ -482,22 +356,19 @@ impl FlowEngine {
             table.touch(&ahead[..block]);
             for _ in 0..block {
                 let at = arrivals.next_arrival();
-                window = at;
                 let pos = table.pick(&mut pick_rng).expect("table never empties");
                 let size = self.sizes.sample(&mut size_rng);
-                let queue = table.queue(pos);
-                per_queue[usize::from(queue)].push(QueuedPacket { at, size });
+                schedules.push(table.queue(pos), at, QueuedPacket { at, size });
                 if table.note_packet(pos) {
                     insert_flow(&mut table);
                 }
             }
         }
-        Schedule {
-            per_queue,
+        Generated {
+            schedules,
             flows_per_queue,
             table: table.stats(),
             active_end: table.active(),
-            window,
         }
     }
 }
@@ -550,7 +421,7 @@ mod tests {
     /// The generator attributing one packet at a time, with no
     /// look-ahead read, and drawing each flow length through
     /// `FlowLength::sample`: the oracle for `FlowEngine::generate`.
-    fn generate_one_at_a_time(e: &FlowEngine) -> Schedule {
+    fn generate_one_at_a_time(e: &FlowEngine) -> Generated {
         let seed = e.cfg.seed;
         let nq = e.cfg.queues as usize;
         let mut table = FlowTable::with_capacity(e.profile.flows as usize);
@@ -572,24 +443,21 @@ mod tests {
             ArrivalGen::new(e.profile.arrival, SplitMix64::salted(seed, salt::ARRIVAL));
         let mut pick_rng = SplitMix64::salted(seed, salt::PICK);
         let mut size_rng = SplitMix64::salted(seed, salt::SIZE);
-        let mut per_queue = vec![Vec::new(); nq];
-        let mut window = SimTime::ZERO;
+        let mut schedules = Schedules::new(&e.rss, 0);
         for _ in 0..e.profile.packets {
             let at = arrivals.next_arrival();
-            window = at;
             let pos = table.pick(&mut pick_rng).unwrap();
             let size = e.profile.sizes.next_size(&mut size_rng);
-            per_queue[usize::from(table.queue(pos))].push(QueuedPacket { at, size });
+            schedules.push(table.queue(pos), at, QueuedPacket { at, size });
             if table.note_packet(pos) {
                 insert_flow(&mut table);
             }
         }
-        Schedule {
-            per_queue,
+        Generated {
+            schedules,
             flows_per_queue,
             table: table.stats(),
             active_end: table.active(),
-            window,
         }
     }
 
@@ -624,12 +492,11 @@ mod tests {
                     );
                     let what = format!("{flows} flows, {flow_length:?}, {packets} packets");
                     let (got, want) = (e.generate(), generate_one_at_a_time(&e));
-                    assert_eq!(got.per_queue, want.per_queue, "{what}: schedules");
+                    assert_eq!(got.schedules, want.schedules, "{what}: schedules, window");
                     assert_eq!(got.flows_per_queue, want.flows_per_queue, "{what}");
                     let stats = want.table;
                     assert_eq!(got.table, stats, "{what}: table stats");
                     assert_eq!(got.active_end, want.active_end, "{what}");
-                    assert_eq!(got.window, want.window, "{what}: window");
                     assert_eq!(stats.packets, packets, "{what}");
                     if flows <= 2 && packets > b {
                         // Flows complete, and are replaced, inside a
@@ -653,8 +520,9 @@ mod tests {
         assert_eq!(r.active_end, 5_000, "concurrency held at target");
         assert_eq!(r.flows_per_queue.iter().sum::<u64>(), r.table.inserts);
         // RSS spread: every queue saw work, shares within 3x.
-        assert!(r.min_queue_share() > 0.25 / 3.0, "{}", r.min_queue_share());
-        assert!(r.imbalance() < 3.0, "{}", r.imbalance());
+        let (min_share, max_share) = r.share_range();
+        assert!(min_share > 0.25 / 3.0, "{min_share}");
+        assert!(max_share < 3.0 * min_share);
         assert!(r.p999_ns() >= r.p99_ns() && r.p99_ns() >= r.p50_ns());
         assert_eq!(r.e2e.count(), r.delivered());
     }

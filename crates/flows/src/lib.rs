@@ -21,8 +21,11 @@
 //! * [`queue`] — one RX queue as an open-loop, RX-terminating driver
 //!   simulation over a private `pcie-device` platform, descriptor
 //!   and completion rings, and telescoping stage telemetry;
-//! * [`engine`] — steer → schedule → simulate → merge, fanned across
-//!   a `pcie-par` pool with bit-identical results at any pool width.
+//! * [`fanout`] — the serving harness this crate's engine shares with
+//!   `pcie-rpc`'s: schedules, the `pcie-par` fan-out (bit-identical at
+//!   any pool width), queue-order merges, run totals and the
+//!   end-of-run audit;
+//! * [`engine`] — the flow-table generator that feeds it.
 //!
 //! ```
 //! use pcie_flows::{FlowEngine, FlowEngineConfig, TrafficProfile};
@@ -49,12 +52,14 @@
 #![deny(missing_docs)]
 
 pub mod engine;
+pub mod fanout;
 pub mod profile;
 pub mod queue;
 pub mod rss;
 pub mod table;
 
 pub use engine::{FlowEngine, FlowEngineConfig, FlowRunReport};
+pub use fanout::{QueueRun, RunTotals};
 pub use profile::{ArrivalGen, ArrivalProcess, FlowLength, TrafficProfile};
 pub use queue::{QueueCounters, QueueReport, QueueSim, QueuedPacket, ServiceModel};
 pub use rss::{toeplitz_hash, FlowKey, Rss, RssKey, INDIRECTION_ENTRIES};

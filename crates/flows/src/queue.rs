@@ -14,11 +14,12 @@
 //! (`rx_dma → notify → rx_sw → app`; the TX stages record zero), so
 //! per-queue breakdowns remain comparable with the driver zoo's.
 
+use crate::fanout::QueueRun;
 use pcie_device::Platform;
 use pcie_drivers::rx::{poll_tick_at_or_after, Refill, RxOutcome, RxPath, RX_SLOTS, SLOT_BYTES};
 use pcie_drivers::{DriverConfig, DriverPattern};
 use pcie_sim::{EventQueue, SimTime};
-use pcie_telemetry::{CounterGroup, DriverStage, LatencyHistogram, StageSample, StageStats};
+use pcie_telemetry::{CounterGroup, DriverStage, StageSample, StageStats};
 
 /// Per-queue software service costs and ring geometry.
 ///
@@ -156,41 +157,29 @@ pub struct QueueReport {
     pub ring_peak: u32,
 }
 
+impl QueueRun for QueueReport {
+    type Stage = DriverStage;
+    fn queue(&self) -> u32 {
+        self.queue
+    }
+    fn offered(&self) -> u64 {
+        self.counters.offered
+    }
+    fn served(&self) -> u64 {
+        self.counters.delivered
+    }
+    fn dropped(&self) -> u64 {
+        self.counters.dropped
+    }
+    fn elapsed(&self) -> SimTime {
+        self.elapsed
+    }
+    fn stages(&self) -> &StageStats<DriverStage> {
+        &self.stages
+    }
+}
+
 impl QueueReport {
-    /// Delivered packets per second, in millions.
-    pub fn mpps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.counters.delivered as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of offered packets dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.counters.offered == 0 {
-            0.0
-        } else {
-            self.counters.dropped as f64 / self.counters.offered as f64
-        }
-    }
-
-    /// End-to-end (arrival → application) latency histogram.
-    pub fn e2e(&self) -> &LatencyHistogram {
-        self.stages.end_to_end()
-    }
-
-    /// 99th-percentile end-to-end latency, ns.
-    pub fn p99_ns(&self) -> f64 {
-        self.e2e().quantile_ns(0.99)
-    }
-
-    /// 99.9th-percentile end-to-end latency, ns.
-    pub fn p999_ns(&self) -> f64 {
-        self.e2e().quantile_ns(0.999)
-    }
-
     /// Counters as the `flows.queue<N>` telemetry group.
     pub fn telemetry_group(&self) -> CounterGroup {
         let c = &self.counters;
@@ -205,8 +194,8 @@ impl QueueReport {
             .push("doorbells", c.doorbells)
             .push("refills", c.refills)
             .push("ring_peak", u64::from(self.ring_peak))
-            .push("p99_ns", self.p99_ns() as u64)
-            .push("p999_ns", self.p999_ns() as u64);
+            .push("p99_ns", self.e2e().quantile_ns(0.99) as u64)
+            .push("p999_ns", self.e2e().quantile_ns(0.999) as u64);
         g
     }
 }
@@ -271,7 +260,8 @@ impl QueueSim {
     /// and drains everything, consuming the simulation.
     ///
     /// # Panics
-    /// Panics if arrival times decrease.
+    /// Panics if arrival times decrease, or if the report fails
+    /// [`QueueRun::audit`].
     pub fn run(mut self, packets: &[QueuedPacket]) -> QueueReport {
         let mut arrivals = packets.iter().peekable();
         let mut last = SimTime::ZERO;
@@ -296,13 +286,15 @@ impl QueueSim {
                 break;
             }
         }
-        QueueReport {
+        let report = QueueReport {
             queue: self.queue,
             counters: self.counters,
             elapsed: self.done_max,
             ring_peak: self.rx.rx_ring().max_used(),
             stages: self.stages,
-        }
+        };
+        report.audit();
+        report
     }
 
     /// Read access to the underlying platform (for snapshots).
@@ -437,9 +429,9 @@ mod tests {
         assert_eq!(r.counters.offered, 5_000);
         assert_eq!(r.counters.delivered, 5_000);
         assert_eq!(r.counters.dropped, 0);
-        assert!(r.mpps() > 1.0);
-        assert!(r.p99_ns() > 0.0);
-        assert!(r.p999_ns() >= r.p99_ns());
+        let (p99, p999) = (r.e2e().quantile_ns(0.99), r.e2e().quantile_ns(0.999));
+        assert!(p99 > 0.0);
+        assert!(p999 >= p99);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! queue) and, with the right key, symmetric (both directions of a
 //! connection land on the same queue).
 
+use crate::fanout::check_queues;
 use pcie_sim::SplitMix64;
 
 /// Number of entries in the RSS indirection table (the low 7 hash
@@ -170,10 +171,10 @@ impl Rss {
     /// how drivers initialise the table before any rebalancing).
     ///
     /// # Panics
-    /// Panics if `queues` is zero or exceeds `u16::MAX`.
+    /// Panics on a queue count [`check_queues`] refuses: none, or
+    /// more than the table's [`INDIRECTION_ENTRIES`].
     pub fn new(key: RssKey, queues: u32) -> Rss {
-        assert!(queues > 0, "need at least one queue");
-        assert!(queues <= u16::MAX as u32, "queue id must fit u16");
+        check_queues(queues).unwrap_or_else(|e| panic!("{e}"));
         let k = key.bytes();
         let mut lut = [[0u32; 256]; INPUT_BYTES];
         for (i, row) in lut.iter_mut().enumerate() {
@@ -220,18 +221,6 @@ impl Rss {
     pub fn steer(&self, flow: &FlowKey) -> (u32, u16) {
         let h = self.hash(flow);
         (h, self.queue_for_hash(h))
-    }
-
-    /// Capacity to reserve for each queue's schedule when `items`
-    /// packets or RPCs are steered over the queues: an even share plus
-    /// a sixteenth, plus 64. Over the even indirection table a queue's
-    /// share strays from even by about 1 % at the engines' scales
-    /// (`flow_rx`'s fullest queue holds 0.8 % more than an even share
-    /// of 1 M packets), so a schedule reserved this way never regrows,
-    /// and the headroom a queue never writes is never made resident.
-    pub fn queue_reserve(&self, items: u64) -> usize {
-        let share = usize::try_from(items / u64::from(self.queues)).unwrap_or(usize::MAX);
-        share.saturating_add(share / 16).saturating_add(64)
     }
 }
 
@@ -328,6 +317,12 @@ mod tests {
 
     #[test]
     fn indirection_spreads_across_all_queues() {
+        for queues in 1..=INDIRECTION_ENTRIES as u16 {
+            let rss = Rss::new(RssKey::MICROSOFT_DEFAULT, u32::from(queues));
+            for q in 0..queues {
+                assert!(rss.table.contains(&q), "{queues} queues: {q} owns no entry");
+            }
+        }
         let rss = Rss::new(RssKey::MICROSOFT_DEFAULT, 7);
         let mut hit = vec![0u32; 7];
         let mut rng = SplitMix64::new(4);
@@ -338,5 +333,11 @@ mod tests {
         for (q, &n) in hit.iter().enumerate() {
             assert!(n > 500, "queue {q} starved: {hit:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "queues 129 out of range 1..=128")]
+    fn more_queues_than_table_entries_panics() {
+        Rss::new(RssKey::MICROSOFT_DEFAULT, 129);
     }
 }

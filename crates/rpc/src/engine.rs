@@ -1,24 +1,16 @@
-//! The RPC engine: steer, schedule, simulate per queue, merge.
+//! The RPC engine: the per-RPC key stream behind the serving harness
+//! ([`pcie_flows::fanout`]).
 //!
-//! [`RpcEngine::run`] compiles an [`RpcProfile`] into per-queue RPC
-//! schedules (open-loop arrivals; each RPC's 4-tuple is an O(1)
-//! indexed `SplitMix64` stream member steered by Toeplitz RSS, so RPC
-//! `n`'s queue is a pure function of the seed), then runs one
-//! [`RpcQueueSim`] per queue on a `pcie-par` pool and merges the
-//! reports in queue order.
-//!
-//! # Determinism
-//!
-//! Schedule generation is sequential; every queue owns a private
-//! two-device switched platform (its host seeded from an indexed
-//! stream) and sees only its own schedule; per-queue stage
-//! accumulators merge in fixed queue order. Pool width is therefore
-//! unobservable: `threads:1` and `threads:N` runs are bit-identical,
-//! pinned by [`RpcRunReport::fingerprint`].
+//! [`RpcEngine::run`] draws open-loop arrivals and steers each RPC by
+//! the Toeplitz RSS hash of its 4-tuple, the O(1) indexed `SplitMix64`
+//! stream member `n` for RPC `n`, so its queue is a pure function of
+//! the seed. The harness runs one [`RpcQueueSim`] per queue, each over
+//! the private two-device switched platform of [`build_platform`].
 
 use crate::accel::AccelModel;
 use crate::queue::{NicModel, QueuedRpc, RpcQueueReport, RpcQueueSim};
 use pcie_device::{DeviceParams, MultiPlatform};
+use pcie_flows::fanout::{check_queues, merged, RunTotals, Schedules};
 use pcie_flows::{ArrivalGen, ArrivalProcess, FlowKey, Rss, RssKey};
 use pcie_host::{HostPreset, HostSystem, Iommu};
 use pcie_link::LinkTiming;
@@ -26,7 +18,7 @@ use pcie_model::config::LinkConfig;
 use pcie_nic::traffic::{SizeSampler, Workload};
 use pcie_par::Pool;
 use pcie_sim::{SimTime, SplitMix64};
-use pcie_telemetry::{CounterGroup, RpcStage, Snapshot, StageStats};
+use pcie_telemetry::{CounterGroup, Fnv, RpcStage, Snapshot, StageStats};
 
 /// Stream-family salts for the engine's RNG consumers (see
 /// `SplitMix64::salted`); distinct from the fault, driver and flows
@@ -163,9 +155,7 @@ impl Default for RpcEngineConfig {
 impl RpcEngineConfig {
     /// Checks the knobs are usable.
     pub fn validate(&self) -> Result<(), String> {
-        if self.queues == 0 || self.queues > 256 {
-            return Err(format!("queues {} out of range 1..=256", self.queues));
-        }
+        check_queues(self.queues)?;
         self.nic.validate()?;
         self.accel.validate()
     }
@@ -215,57 +205,35 @@ pub struct RpcRunReport {
     pub rpcs_per_queue: Vec<u64>,
     /// Time of the last generated arrival (the offered window).
     pub window: SimTime,
-    /// Virtual time to drain everything (max over queues).
-    pub elapsed: SimTime,
     /// Whole-run stage attribution: per-queue accumulators merged in
     /// queue order, so stage means and quantiles are exact.
     pub stages: StageStats<RpcStage>,
 }
 
+impl RunTotals for RpcRunReport {
+    type Queue = RpcQueueReport;
+    fn queues(&self) -> &[RpcQueueReport] {
+        &self.queues
+    }
+    fn window(&self) -> SimTime {
+        self.window
+    }
+}
+
 impl RpcRunReport {
     /// RPCs offered across all queues.
     pub fn offered(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.offered).sum()
+        RunTotals::offered(self)
     }
 
     /// RPCs completed across all queues.
     pub fn completed(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.completed).sum()
+        self.served()
     }
 
     /// RPCs dropped across all queues.
     pub fn dropped(&self) -> u64 {
-        self.queues.iter().map(|q| q.counters.dropped).sum()
-    }
-
-    /// Fraction of offered RPCs dropped.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped() as f64 / offered as f64
-        }
-    }
-
-    /// Offered rate over the generation window, millions of RPCs/s.
-    pub fn offered_mrps(&self) -> f64 {
-        let secs = self.window.as_secs_f64();
-        if secs > 0.0 {
-            self.offered() as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Completed rate over the drain time, millions of RPCs/s.
-    pub fn completed_mrps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.completed() as f64 / secs / 1e6
-        } else {
-            0.0
-        }
+        RunTotals::dropped(self)
     }
 
     /// Whole-run median end-to-end latency, ns.
@@ -315,16 +283,10 @@ impl RpcRunReport {
     /// behaviourally identical iff their fingerprints match — the pin
     /// used to assert pool-width invariance.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over u64 words: stable, dependency-free, and
-        // sensitive to field order (which is fixed here).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = Fnv::new();
         for q in &self.queues {
             let c = &q.counters;
-            for w in [
+            h.words([
                 u64::from(q.queue),
                 c.offered,
                 c.completed,
@@ -341,11 +303,9 @@ impl RpcRunReport {
                 q.p2p_redirects,
                 q.iommu_hits,
                 q.iommu_misses,
-            ] {
-                eat(w);
-            }
+            ]);
             for p in &q.ports {
-                for w in [
+                h.words([
                     p.up_tlps,
                     p.up_bytes,
                     p.down_tlps,
@@ -356,30 +316,17 @@ impl RpcRunReport {
                     p.p2p_out_bytes,
                     p.rr_grants,
                     p.credit_stalls,
-                ] {
-                    eat(w);
-                }
+                ]);
             }
         }
-        let e2e = self.stages.end_to_end();
-        for w in [
+        h.words([
             self.window.as_ps(),
-            self.elapsed.as_ps(),
+            self.elapsed().as_ps(),
             self.stages.count(),
-            e2e.count(),
-            e2e.overflow(),
-            e2e.total_ns().to_bits(),
-        ] {
-            eat(w);
-        }
-        for &(start, count) in &e2e.nonzero() {
-            eat(start);
-            eat(count);
-        }
-        for &n in &self.rpcs_per_queue {
-            eat(n);
-        }
-        h
+        ])
+        .histogram(self.stages.end_to_end())
+        .words(self.rpcs_per_queue.iter().copied())
+        .finish()
     }
 
     /// Telemetry snapshot: `rpc.engine`, the merged `rpc.stages`
@@ -467,51 +414,33 @@ impl RpcEngine {
     /// pool width.
     pub fn run(&self, pool: &Pool) -> RpcRunReport {
         let seed = self.cfg.seed;
-        let nq = self.cfg.queues as usize;
         let mut arrivals = ArrivalGen::new(
             self.profile.arrival,
             SplitMix64::salted(seed, salt::ARRIVAL),
         );
         let mut req_rng = SplitMix64::salted(seed, salt::REQ);
         let mut resp_rng = SplitMix64::salted(seed, salt::RESP);
-        let reserve = self.rss.queue_reserve(self.profile.rpcs);
-        let mut sched: Vec<Vec<QueuedRpc>> = (0..nq).map(|_| Vec::with_capacity(reserve)).collect();
-        let mut rpcs_per_queue = vec![0u64; nq];
-        let mut window = SimTime::ZERO;
+        let mut schedules = Schedules::new(&self.rss, self.profile.rpcs);
         for i in 0..self.profile.rpcs {
             let at = arrivals.next_arrival();
-            window = at;
             // O(1) indexed member: RPC n's 4-tuple is a pure function
             // of (seed, n), independent of generation history.
             let mut key_rng = SplitMix64::stream(seed, salt::RPC_KEY, i);
-            let key = FlowKey::from_rng(&mut key_rng);
-            let (_, queue) = self.rss.steer(&key);
+            let (_, queue) = self.rss.steer(&FlowKey::from_rng(&mut key_rng));
             let req = self.req.sample(&mut req_rng);
             let resp = self.resp.sample(&mut resp_rng);
-            sched[usize::from(queue)].push(QueuedRpc { at, req, resp });
-            rpcs_per_queue[usize::from(queue)] += 1;
+            schedules.push(queue, at, QueuedRpc { at, req, resp });
         }
-        // Fan the queues across the pool; order-preserving collection
-        // plus private platforms make the merge width-invariant.
-        let reports: Vec<RpcQueueReport> = pool.run(nq, |q| {
-            let platform = build_platform(&self.cfg, q as u32);
-            RpcQueueSim::new(q as u32, self.cfg.nic, self.cfg.accel, platform).run(&sched[q])
+        let queues = schedules.run(pool, |q, rpcs| {
+            let platform = build_platform(&self.cfg, q);
+            RpcQueueSim::new(q, self.cfg.nic, self.cfg.accel, platform).run(rpcs)
         });
-        let mut stages = reports[0].stages.clone();
-        for r in &reports[1..] {
-            stages.merge(&r.stages);
-        }
-        let elapsed = reports
-            .iter()
-            .map(|r| r.elapsed)
-            .fold(SimTime::ZERO, SimTime::max);
         RpcRunReport {
             datapath: self.cfg.datapath,
-            rpcs_per_queue,
-            window,
-            elapsed,
-            stages,
-            queues: reports,
+            rpcs_per_queue: schedules.lens(),
+            stages: merged(&queues, |q| &q.stages, StageStats::merge),
+            window: schedules.window(),
+            queues,
         }
     }
 }

@@ -26,17 +26,16 @@
 //! deferred-issuance loop as `DriverSim` and `QueueSim`
 //! ([`EventQueue::pop_before`](pcie_sim::EventQueue::pop_before):
 //! platform issue ports are FIFO timelines, so every platform call is
-//! made at its event time, in event-time order), and
-//! [`RpcEngine`] fans queues out over a `pcie-par` pool with the same
-//! determinism discipline as `pcie-flows`: schedule generation is
-//! sequential, every queue owns a private platform, reports merge in
-//! queue order — `threads:1` and `threads:N` runs are bit-identical,
-//! pinned by [`RpcRunReport::fingerprint`].
+//! made at its event time, in event-time order). [`RpcEngine`] feeds
+//! the serving harness of `pcie-flows` ([`pcie_flows::fanout`]), so
+//! `threads:1` and `threads:N` runs are bit-identical, pinned by
+//! [`RpcRunReport::fingerprint`].
 //!
 //! Per-RPC latency telescopes over the six `rpc.stages` of
 //! [`pcie_telemetry::RpcStage`] (`ingress_dma → steer → fabric_req →
 //! accel_service → fabric_resp → egress_dma`), summing exactly to
-//! end-to-end — asserted at the end of every queue run.
+//! end-to-end — checked, with the run's accounting, by the
+//! [`QueueRun::audit`] that ends every queue run.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -47,4 +46,5 @@ pub mod queue;
 
 pub use accel::AccelModel;
 pub use engine::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RpcRunReport};
+pub use pcie_flows::fanout::{QueueRun, RunTotals};
 pub use queue::{NicModel, QueuedRpc, RpcCounters, RpcQueueReport, RpcQueueSim};

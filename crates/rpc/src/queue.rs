@@ -25,9 +25,10 @@
 
 use crate::accel::AccelModel;
 use pcie_device::MultiPlatform;
+use pcie_flows::QueueRun;
 use pcie_link::Direction;
 use pcie_sim::{EventQueue, SimTime, Timeline};
-use pcie_telemetry::{CounterGroup, LatencyHistogram, RpcStage, StageSample, StageStats};
+use pcie_telemetry::{CounterGroup, RpcStage, StageSample, StageStats};
 use pcie_topo::PortCounters;
 
 /// Switch port of the NIC device.
@@ -179,41 +180,29 @@ pub struct RpcQueueReport {
     pub iommu_misses: u64,
 }
 
+impl QueueRun for RpcQueueReport {
+    type Stage = RpcStage;
+    fn queue(&self) -> u32 {
+        self.queue
+    }
+    fn offered(&self) -> u64 {
+        self.counters.offered
+    }
+    fn served(&self) -> u64 {
+        self.counters.completed
+    }
+    fn dropped(&self) -> u64 {
+        self.counters.dropped
+    }
+    fn elapsed(&self) -> SimTime {
+        self.elapsed
+    }
+    fn stages(&self) -> &StageStats<RpcStage> {
+        &self.stages
+    }
+}
+
 impl RpcQueueReport {
-    /// Completed RPCs per second, in millions.
-    pub fn mrps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.counters.completed as f64 / secs / 1e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of offered RPCs dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.counters.offered == 0 {
-            0.0
-        } else {
-            self.counters.dropped as f64 / self.counters.offered as f64
-        }
-    }
-
-    /// End-to-end (wire arrival → response on wire) histogram.
-    pub fn e2e(&self) -> &LatencyHistogram {
-        self.stages.end_to_end()
-    }
-
-    /// 99th-percentile end-to-end latency, ns.
-    pub fn p99_ns(&self) -> f64 {
-        self.e2e().quantile_ns(0.99)
-    }
-
-    /// 99.9th-percentile end-to-end latency, ns.
-    pub fn p999_ns(&self) -> f64 {
-        self.e2e().quantile_ns(0.999)
-    }
-
     /// Counters as the `rpc.queue<N>` telemetry group.
     pub fn telemetry_group(&self) -> CounterGroup {
         let c = &self.counters;
@@ -225,8 +214,8 @@ impl RpcQueueReport {
             .push("req_bytes_completed", c.req_bytes_completed)
             .push("resp_bytes_completed", c.resp_bytes_completed)
             .push("inflight_peak", u64::from(self.inflight_peak))
-            .push("p99_ns", self.p99_ns() as u64)
-            .push("p999_ns", self.p999_ns() as u64);
+            .push("p99_ns", self.e2e().quantile_ns(0.99) as u64)
+            .push("p999_ns", self.e2e().quantile_ns(0.999) as u64);
         g
     }
 }
@@ -290,9 +279,10 @@ impl RpcQueueSim {
     /// drains everything, consuming the simulation.
     ///
     /// # Panics
-    /// Panics if arrival times decrease, or — the in-run telescoping
-    /// pin — if the six stage totals fail to sum to the end-to-end
-    /// total within floating-point rounding.
+    /// Panics if arrival times decrease, or if the report fails
+    /// [`QueueRun::audit`] (among its laws the in-run telescoping pin:
+    /// the six stage totals sum to the end-to-end total within
+    /// floating-point rounding).
     pub fn run(mut self, rpcs: &[QueuedRpc]) -> RpcQueueReport {
         let mut last = SimTime::ZERO;
         for r in rpcs {
@@ -318,18 +308,11 @@ impl RpcQueueSim {
         }
         self.drain(SimTime::MAX);
         debug_assert_eq!(self.inflight, 0, "every admitted RPC must complete");
-        // The in-run telescoping pin: stage totals sum to end-to-end.
-        let grand = self.stages.grand_total_ns();
-        let e2e = self.stages.end_to_end().total_ns();
-        assert!(
-            (grand - e2e).abs() <= 1e-6 * grand.max(1.0),
-            "rpc.stages must telescope: {grand} vs {e2e}"
-        );
         let sw = self.platform.switch().expect("switched by construction");
         let up = sw.uplink().counters(Direction::Upstream);
         let down = sw.uplink().counters(Direction::Downstream);
         let iommu = self.platform.host.iommu().map(|i| i.stats());
-        RpcQueueReport {
+        let report = RpcQueueReport {
             queue: self.queue,
             counters: self.counters,
             elapsed: self.done_max,
@@ -341,7 +324,9 @@ impl RpcQueueSim {
             iommu_hits: iommu.map(|s| s.tlb_hits).unwrap_or(0),
             iommu_misses: iommu.map(|s| s.tlb_misses).unwrap_or(0),
             stages: self.stages,
-        }
+        };
+        report.audit();
+        report
     }
 
     /// Read access to the underlying platform (for snapshots).
@@ -475,8 +460,7 @@ mod tests {
         assert_eq!(r.counters.offered, 4_000);
         assert_eq!(r.counters.completed, 4_000);
         assert_eq!(r.counters.dropped, 0);
-        assert!(r.mrps() > 1.0);
-        assert!(r.p999_ns() >= r.p99_ns());
+        assert!(r.e2e().quantile_ns(0.999) >= r.e2e().quantile_ns(0.99));
         assert_eq!(r.uplink_up.0, 0, "bypass never touches the uplink");
         assert_eq!(r.p2p_redirects, 0);
     }

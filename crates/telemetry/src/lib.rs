@@ -33,7 +33,10 @@
 //!     between them;
 //! * JSON and CSV export ([`Snapshot::to_json`], [`Snapshot::to_csv`])
 //!   with zero external dependencies, consumed by `repro_report`,
-//!   `pciebench_cli` and the figure binaries.
+//!   `pciebench_cli` and the figure binaries;
+//! * [`Fnv`] — FNV-1a over 64-bit words, with one fold for a
+//!   [`LatencyHistogram`], through which the serving engines'
+//!   run-report fingerprints hash.
 //!
 //! ## Zero-cost-when-disabled contract
 //!
@@ -62,6 +65,7 @@
 
 pub mod counters;
 pub mod driver;
+pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod rpc;
@@ -70,6 +74,7 @@ pub mod stages;
 
 pub use counters::CounterGroup;
 pub use driver::DriverStage;
+pub use fnv::Fnv;
 pub use hist::LatencyHistogram;
 pub use rpc::RpcStage;
 pub use snapshot::{Snapshot, StageReport};

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example rpc_offload`
 
 use pcie_bench_repro::par::Pool;
-use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile};
+use pcie_bench_repro::rpc::{Datapath, RpcEngine, RpcEngineConfig, RpcProfile, RunTotals};
 use pcie_telemetry::{RpcStage, StageSet};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
         println!(
             "{:>7}: {:>6.1} Mrps sustained, drop {:>5.2}%, p50 {:>6.0}ns  p99 {:>6.0}ns  p999 {:>6.0}ns",
             datapath.name(),
-            report.completed_mrps(),
+            report.served_mps(),
             report.drop_rate() * 100.0,
             report.p50_ns(),
             report.p99_ns(),

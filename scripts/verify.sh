@@ -48,16 +48,19 @@ else
 fi
 
 # prints <archive> <command...>: runs the command, which must exit 0,
-# and fails unless its output is results/<archive>.txt, `#` lines (wall
-# times and host notes among them) left out on both sides.
+# and fails unless its output is results/<archive>.txt line for line,
+# `#` lines included. Only the suite prints lines that depend on the
+# host, its wall time, thread count and speed-up, and those two are
+# left out on both sides.
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+host_lines='^# [0-9]+ tests in |^# sequential-equivalent '
 prints() {
     archive=results/$1.txt
     shift
     "$@" >"$out/stdout"
-    grep -v '^#' "$out/stdout" >"$out/got" || true
-    grep -v '^#' "$archive" >"$out/want" || true
+    grep -Ev "$host_lines" "$out/stdout" >"$out/got" || true
+    grep -Ev "$host_lines" "$archive" >"$out/want" || true
     if ! cmp -s "$out/want" "$out/got"; then
         echo "verify.sh: '$*' no longer prints $archive:" >&2
         diff "$out/want" "$out/got" | head -n 20 >&2

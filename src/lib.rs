@@ -28,7 +28,8 @@
 //! * [`flows`] — the million-flow traffic engine: Toeplitz RSS
 //!   steering onto per-queue descriptor rings, a slab-backed flow
 //!   table for 10⁵–10⁷ concurrent flows, declarative open-loop
-//!   traffic profiles, and a deterministic multi-queue engine;
+//!   traffic profiles, and the deterministic multi-queue serving
+//!   harness that the flow and RPC engines share;
 //! * [`rpc`] — end-to-end RPC serving over the switch fabric: RSS
 //!   steering onto per-queue rings, device-to-device forwarding to an
 //!   accelerator and back, with selectable host-bypass (crossbar P2P)

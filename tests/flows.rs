@@ -2,13 +2,14 @@
 //! lookup-table hash against the bit-serial reference, steering
 //! determinism, src/dst symmetry under the symmetric key, and
 //! pool-width stability of the full engine — `threads:1` vs
-//! `threads:N` runs must be bit-identical.
+//! `threads:N` runs must be bit-identical, over fault-free and
+//! faulted platforms alike.
 
 use pcie_bench_repro::bench::BenchSetup;
 use pcie_bench_repro::device::Platform;
 use pcie_bench_repro::flows::{
-    toeplitz_hash, ArrivalProcess, FlowEngine, FlowEngineConfig, FlowKey, FlowLength, Rss, RssKey,
-    ServiceModel, TrafficProfile,
+    toeplitz_hash, ArrivalProcess, FlowEngine, FlowEngineConfig, FlowKey, FlowLength, QueueRun,
+    Rss, RssKey, ServiceModel, TrafficProfile,
 };
 use pcie_bench_repro::nic::traffic::Workload;
 use pcie_bench_repro::par::Pool;
@@ -219,4 +220,29 @@ fn engine_seed_reaches_every_stream() {
         base.run(&pool, platform).fingerprint(),
         reseeded.run(&pool, platform).fingerprint()
     );
+}
+
+/// Every queue over a platform with a 1e-5 bit-error rate on its
+/// link: each passes the end-of-run audit, the run replays exactly
+/// and at any pool width, and the fault plan reaches the queues' DMAs,
+/// so the fingerprint is not the fault-free run's.
+#[test]
+fn engine_runs_over_faulted_platforms() {
+    let faulted = |_q: u32| {
+        BenchSetup::nfp6000_hsw()
+            .with_ber(1e-5)
+            .build_nic_platform()
+    };
+    let e = small_engine(4);
+    let r = e.run(&Pool::sequential(), faulted);
+    for q in &r.queues {
+        q.audit();
+    }
+    let digest = r.fingerprint();
+    let again = e.run(&Pool::sequential(), faulted).fingerprint();
+    assert_eq!(again, digest, "a faulted run replays");
+    let wide = e.run(&Pool::with_threads(4), faulted).fingerprint();
+    assert_eq!(wide, digest, "threads:4 diverged from sequential");
+    let clean = e.run(&Pool::sequential(), platform).fingerprint();
+    assert_ne!(clean, digest, "the fault plan never reached a queue");
 }
